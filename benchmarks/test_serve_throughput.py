@@ -2,8 +2,9 @@
 
 Informational benchmark (not gated): classifies 10k ECG beats through
 
-- the per-sample RTL simulator path (``predict_bitexact`` routes every
-  sample through Python-int arithmetic),
+- the per-sample RTL simulator path (``project_traced``, Python-int
+  arithmetic per sample),
+- ``predict_bitexact`` (the reference datapath's batch path),
 - the :class:`~repro.serve.BatchInferenceEngine` object fallback, and
 - the :class:`~repro.serve.BatchInferenceEngine` int64 fast path,
 
@@ -66,7 +67,7 @@ def test_serve_engine_throughput(save_result, paper_budget, merge_bench):
 
     started = time.perf_counter()
     per_sample_labels = classifier.predict_bitexact(features)
-    timings["predict_bitexact (np.vectorize)"] = time.perf_counter() - started
+    timings["predict_bitexact (project_batch)"] = time.perf_counter() - started
 
     engine_obj = BatchInferenceEngine(classifier, force_object=True)
     started = time.perf_counter()

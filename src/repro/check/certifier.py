@@ -39,10 +39,10 @@ import numpy as np
 
 from ..core.classifier import FixedPointLinearClassifier
 from ..errors import CheckError, DataError
+from ..fixedpoint.datapath import int64_path_available
 from ..fixedpoint.qformat import QFormat
 from ..fixedpoint.quantize import quantize_raw
 from ..fixedpoint.rounding import RoundingMode, shift_right_rounded
-from ..serve.engine import int64_path_available
 from ..stats.scatter import TwoClassStats
 from ..wordlength.range_analysis import statistical_ranges
 from .report import CheckReport, Invariant, Verdict
@@ -56,7 +56,7 @@ __all__ = [
 ]
 
 # The serving engine's int64 fast path holds 63 magnitude bits; see
-# repro.serve.engine.int64_path_available.
+# repro.fixedpoint.datapath.int64_path_available.
 _INT64_MAGNITUDE_BITS = 63
 
 

@@ -13,7 +13,8 @@ containing ``raw`` hold raw words.
 Rules
 -----
 - **RPC001** — no float literals mixed into, and no ``/`` true division
-  on, raw-word expressions (scope: ``fixedpoint/`` and ``serve/engine.py``).
+  on, raw-word expressions (scope: ``fixedpoint/``, ``serve/engine.py`` and
+  ``signal/fxfir.py``).
   Raw words are scaled integers; ``/`` produces a float and silently drops
   bit-exactness.  Conversions belong in the sanctioned helpers.
 - **RPC002** — wrap/mask sites (``%`` or ``&`` on a raw-word expression)
@@ -220,7 +221,9 @@ class LintRule:
     @staticmethod
     def _raw_word_scope(path: str) -> bool:
         normalized = path.replace(os.sep, "/")
-        return "fixedpoint/" in normalized or normalized.endswith("serve/engine.py")
+        return "fixedpoint/" in normalized or normalized.endswith(
+            ("serve/engine.py", "signal/fxfir.py")
+        )
 
     @staticmethod
     def _serve_scope(path: str) -> bool:

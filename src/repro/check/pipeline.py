@@ -28,6 +28,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, Mapping, Optional, Tuple
 import numpy as np
 
 from ..errors import CheckError
+from ..fixedpoint.datapath import int64_path_available
 from ..fixedpoint.overflow import OverflowMode
 from .report import CheckReport, Verdict
 
@@ -304,8 +305,6 @@ def certify_pipeline(
         )
     )
     if include_native is None:
-        from ..serve.engine import int64_path_available
-
         include_native = int64_path_available(
             classifier.fmt, classifier.num_features
         )

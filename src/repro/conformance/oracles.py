@@ -34,6 +34,7 @@ __all__ = [
     "ALL_ORACLES",
     "ORACLES",
     "get_oracle",
+    "scalar_fir_raws",
 ]
 
 
@@ -621,14 +622,37 @@ class WireRoundtripOracle(Oracle):
 # --------------------------------------------------------------------- #
 # 7b. Chunked streaming vs one-shot batch processing
 # --------------------------------------------------------------------- #
+def scalar_fir_raws(fir, signal: np.ndarray) -> np.ndarray:
+    """Output words of ``fir`` on ``signal``: the scalar FIR reference.
+
+    Per sample and per tap in Python ints, pre-signal products skipped and
+    the accumulator wrapped after every addition.
+    """
+    from ..fixedpoint.overflow import OverflowMode, apply_overflow_raw
+    from ..fixedpoint.quantize import quantize_raw
+    from ..fixedpoint.rounding import shift_right_rounded
+
+    fmt, acc_fmt = fir.fmt, fir.accumulator_format
+    x_raws = quantize_raw(signal, fmt, rounding=fir.rounding, overflow=OverflowMode.SATURATE)
+    out = []
+    for i in range(x_raws.size):
+        acc = 0
+        for j, tap_raw in enumerate(fir.tap_raws.tolist()[: i + 1]):
+            product = shift_right_rounded(tap_raw * int(x_raws[i - j]), fmt.fraction_bits, fir.rounding)
+            acc = apply_overflow_raw(acc + product, acc_fmt, OverflowMode.WRAP)
+        out.append(apply_overflow_raw(acc, fmt, OverflowMode.SATURATE))
+    return np.asarray(out, dtype=np.int64)
+
+
 class StreamVsBatchOracle(Oracle):
     """Arbitrary chunk partitions of a waveform through the stateful
     steppers (:mod:`repro.signal.stream`) must be **bit-identical** to the
     one-shot calls on the concatenated signal: fixed-point FIR, fixed-point
     biquad, the float biquad cascade (power-line notch), the exactly-
-    rounded float FIR, the decimator, and the hop-strided windower.  The
-    second case family replays interleaved serving-plane sessions through
-    one :class:`~repro.serve.stream.StreamManager` and requires every
+    rounded float FIR, the decimator, and the hop-strided windower; the
+    fixed-point FIR kernel is also held to :func:`scalar_fir_raws` on its
+    int64 and object paths.  The second case family replays interleaved
+    serving-plane sessions through one :class:`~repro.serve.stream.StreamManager` and requires every
     session's windows/features/raws/labels to match
     :func:`~repro.serve.stream.run_offline` on its waveform alone — chunk
     boundaries and neighbouring sessions must be unobservable."""
@@ -636,7 +660,8 @@ class StreamVsBatchOracle(Oracle):
     name = "stream_vs_batch"
     description = (
         "signal.stream chunked steppers + serve.stream sessions vs the "
-        "one-shot fxfir/fxbiquad/preprocess/windowing pipeline, bit for bit"
+        "one-shot fxfir/fxbiquad/preprocess/windowing pipeline, and the FIR "
+        "kernel vs a scalar reference, bit for bit"
     )
     default_examples = 25
 
@@ -660,7 +685,9 @@ class StreamVsBatchOracle(Oracle):
 
     def _check_waveform(self, case: dict) -> None:
         from ..errors import DataError
+        from ..fixedpoint.overflow import OverflowMode
         from ..fixedpoint.qformat import QFormat
+        from ..fixedpoint.quantize import dequantize_raw, quantize_raw
         from ..fixedpoint.rounding import RoundingMode
         from ..signal.filters import fir_direct
         from ..signal.fxbiquad import FixedPointBiquad
@@ -687,12 +714,24 @@ class StreamVsBatchOracle(Oracle):
         def run_chunked(stream) -> np.ndarray:
             return np.concatenate([stream.process(c) for c in chunks])
 
-        # 1. Fixed-point FIR: raw delay line vs the one-shot skip loop.
+        # 1. Fixed-point FIR: both kernel dtypes and the one-shot call vs
+        #    the scalar reference, then chunked stream vs one-shot.
         fxfir = FixedPointFir(
             taps=taps, fmt=fmt, guard_bits=int(case["guard_bits"]),
             rounding=rounding,
         )
-        if not np.array_equal(run_chunked(fxfir.stream()), fxfir.apply(signal)):
+        want = scalar_fir_raws(fxfir, signal)
+        line = np.concatenate([
+            np.zeros(fxfir.tap_raws.size - 1, dtype=np.int64),
+            quantize_raw(signal, fmt, rounding=rounding, overflow=OverflowMode.SATURATE),
+        ])
+        for path in (line, line.astype(object)):  # int64 (these formats fit) and object
+            if not np.array_equal(fxfir.filter_raws(path), want):
+                self.fail(f"fxfir {path.dtype} kernel != scalar FIR reference", case)
+        one_shot = fxfir.apply(signal)
+        if not np.array_equal(one_shot, dequantize_raw(want, fmt)):
+            self.fail("fxfir one-shot apply != scalar FIR reference", case)
+        if not np.array_equal(run_chunked(fxfir.stream()), one_shot):
             self.fail("fxfir chunked stream != one-shot apply", case)
 
         # 2. Fixed-point biquad (notch section).  Quantization may

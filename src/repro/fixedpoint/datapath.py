@@ -20,18 +20,39 @@ bit-exact regardless of word length (Python ints are unbounded).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from ..errors import InputValidationError
-from .overflow import OverflowMode, apply_overflow_raw
+from .overflow import OverflowMode, apply_overflow_array, apply_overflow_raw
 from .qformat import QFormat
-from .quantize import quantize_raw
-from .rounding import RoundingMode, shift_right_rounded
+from .quantize import dequantize_raw, quantize_raw
+from .rounding import RoundingMode, shift_right_rounded, shift_right_rounded_array
 
-__all__ = ["DatapathConfig", "DatapathTrace", "FixedPointDatapath"]
+__all__ = [
+    "DatapathConfig",
+    "DatapathTrace",
+    "FixedPointDatapath",
+    "int64_path_available",
+    "project_raws_batch",
+]
+
+# numpy int64 carries 63 magnitude bits plus sign.
+_INT64_MAGNITUDE_BITS = 63
+
+
+def int64_path_available(fmt: QFormat, num_features: int) -> bool:
+    """True when int64 arithmetic is exact for ``fmt`` and ``M`` features.
+
+    The widest intermediate is a full-precision product (``2 * (K + F)``
+    bits); accumulation contributes at most ``ceil(log2(M))`` carry bits
+    before each wrap.  The int64 path is safe iff the total fits in int64.
+    """
+    carry_bits = math.ceil(math.log2(max(int(num_features), 2)))
+    return 2 * fmt.word_length + carry_bits <= _INT64_MAGNITUDE_BITS
 
 
 @dataclass(frozen=True)
@@ -119,14 +140,11 @@ class FixedPointDatapath:
     ) -> None:
         self.config = config
         fmt = config.fmt
-        self.weight_raws = np.asarray(
-            quantize_raw(
-                np.asarray(weights, dtype=np.float64),
-                fmt,
-                rounding=config.rounding,
-                overflow=OverflowMode.SATURATE,
-            ),
-            dtype=np.int64,
+        self.weight_raws = quantize_raw(
+            np.asarray(weights, dtype=np.float64),
+            fmt,
+            rounding=config.rounding,
+            overflow=OverflowMode.SATURATE,
         )
         self.threshold_raw = int(
             quantize_raw(
@@ -193,9 +211,9 @@ class FixedPointDatapath:
     def project_batch(self, features: np.ndarray) -> np.ndarray:
         """Vectorized ``w' x - threshold`` over rows of ``features``.
 
-        Bit-exact with :meth:`project` (covered by a property test); uses
-        object-dtype integers internally so arbitrary word lengths stay
-        exact.
+        Bit-exact with :meth:`project` (covered by a property test); runs
+        :func:`project_raws_batch` in int64 when
+        :func:`int64_path_available` holds and on Python ints otherwise.
         """
         fmt = self.config.fmt
         x = np.asarray(features, dtype=np.float64)
@@ -203,38 +221,40 @@ class FixedPointDatapath:
             x = x[None, :]
         x_raws = quantize_raw(
             x, fmt, rounding=self.config.rounding, overflow=OverflowMode.SATURATE
-        ).astype(object)
-        w = self.weight_raws.astype(object)
-
-        full = x_raws * w[None, :]
-        narrow = np.vectorize(
-            lambda r: shift_right_rounded(int(r), fmt.fraction_bits, self.config.rounding),
-            otypes=[object],
         )
-        narrowed = narrow(full) if full.size else full
-        prods = self._apply_overflow_object(narrowed, self.config.product_overflow)
-
-        acc = np.zeros(prods.shape[0], dtype=object)
-        for m in range(prods.shape[1]):
-            acc = self._apply_overflow_object(acc + prods[:, m], self.config.overflow)
-        result = self._apply_overflow_object(
-            acc - self.threshold_raw, self.config.overflow
-        )
-        return result.astype(np.int64).astype(np.float64) * fmt.resolution
+        w_raws = self.weight_raws
+        if not int64_path_available(fmt, w_raws.size):
+            x_raws, w_raws = x_raws.astype(object), w_raws.astype(object)
+        result_raws = project_raws_batch(x_raws, w_raws, self.threshold_raw, self.config)[0]
+        return dequantize_raw(result_raws.astype(np.int64), fmt)
 
     def classify_batch(self, features: np.ndarray) -> np.ndarray:
         """Vectorized decisions (1 = class A, 0 = class B)."""
         return (self.project_batch(features) >= 0.0).astype(np.int64)
 
-    def _apply_overflow_object(self, raws: np.ndarray, mode: OverflowMode) -> np.ndarray:
-        fmt = self.config.fmt
-        if mode is OverflowMode.WRAP:
-            half = fmt.modulus >> 1
-            return (raws + half) % fmt.modulus - half
-        if mode is OverflowMode.SATURATE:
-            return np.clip(raws, fmt.min_raw, fmt.max_raw)
-        out_of_range = (raws < fmt.min_raw) | (raws > fmt.max_raw)
-        if np.any(out_of_range):
-            offender = int(np.asarray(raws)[out_of_range].flat[0])
-            apply_overflow_raw(offender, fmt, mode=mode)  # raises
-        return raws
+
+def project_raws_batch(
+    x_raws: np.ndarray, weight_raws: np.ndarray, threshold_raw: int, config: DatapathConfig
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The batch datapath over rows of in-range raw feature words.
+
+    Returns ``(result_raws, product_overflowed, accumulator_overflowed)`` as
+    in :class:`DatapathTrace`, computed in the operands' dtype (int64 only
+    where :func:`int64_path_available` holds).
+    """
+    fmt = config.fmt
+    full = x_raws * weight_raws[None, :]
+    narrowed = shift_right_rounded_array(full, fmt.fraction_bits, config.rounding)
+    product_overflowed = (narrowed < fmt.min_raw) | (narrowed > fmt.max_raw)
+    prods = apply_overflow_array(narrowed, fmt, config.product_overflow)
+
+    # The overflow policy applies after every addition, as the adder chain does.
+    n, m = prods.shape
+    acc = np.zeros(n, dtype=prods.dtype)
+    accumulator_overflowed = np.empty((n, m), dtype=bool)
+    for col in range(m):
+        exact_sum = acc + prods[:, col]
+        accumulator_overflowed[:, col] = (exact_sum < fmt.min_raw) | (exact_sum > fmt.max_raw)
+        acc = apply_overflow_array(exact_sum, fmt, config.overflow)
+    result_raws = apply_overflow_array(acc - threshold_raw, fmt, config.overflow)
+    return result_raws, product_overflowed, accumulator_overflowed

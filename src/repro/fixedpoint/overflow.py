@@ -18,7 +18,7 @@ import numpy as np
 from ..errors import OverflowModeError
 from .qformat import QFormat
 
-__all__ = ["OverflowMode", "apply_overflow_raw"]
+__all__ = ["OverflowMode", "apply_overflow_raw", "apply_overflow_array"]
 
 RawLike = Union[int, np.ndarray]
 
@@ -56,21 +56,7 @@ def apply_overflow_raw(
     """
     mode = OverflowMode.coerce(mode)
     if isinstance(raw, np.ndarray):
-        if mode is OverflowMode.WRAP:
-            return fmt.wrap_raw(raw)
-        if mode is OverflowMode.SATURATE:
-            # np.clip collapses 0-d object arrays (wide-format raws) to a
-            # plain int; normalize back to an ndarray before the cast.
-            return np.asarray(np.clip(raw, fmt.min_raw, fmt.max_raw)).astype(
-                np.int64, copy=False
-            )
-        bad = (raw < fmt.min_raw) | (raw > fmt.max_raw)
-        if np.any(bad):
-            offender = int(np.asarray(raw)[bad].flat[0])
-            raise OverflowModeError(
-                fmt.to_real(offender), fmt.min_value, fmt.max_value
-            )
-        return raw.astype(np.int64)
+        return apply_overflow_array(raw, fmt, mode).astype(np.int64)
 
     value = int(raw)
     if mode is OverflowMode.WRAP:
@@ -80,3 +66,30 @@ def apply_overflow_raw(
     if value < fmt.min_raw or value > fmt.max_raw:
         raise OverflowModeError(fmt.to_real(value), fmt.min_value, fmt.max_value)
     return value
+
+
+def apply_overflow_array(
+    raws: np.ndarray, fmt: QFormat, mode: "OverflowMode | str" = OverflowMode.WRAP
+) -> np.ndarray:
+    """:func:`apply_overflow_raw` over an int64 or object (Python int) array.
+
+    The result keeps the input dtype, so wide arithmetic stays exact.
+    ``WRAP`` re-signs the low ``K+F`` bits at :attr:`QFormat.sign_bit`.
+    """
+    mode = OverflowMode.coerce(mode)
+    raws = np.asarray(raws)
+    if raws.ndim == 0:
+        # ufuncs return scalars on 0-d input, which a huge Python int breaks.
+        return apply_overflow_array(raws.reshape(1), fmt, mode).reshape(())
+    if mode is OverflowMode.WRAP:
+        if raws.dtype != object and fmt.word_length >= 64:
+            return raws  # every int64 already is a 64-bit word
+        sign = fmt.sign_bit
+        return ((raws & fmt.wrap_mask) ^ sign) - sign
+    if mode is OverflowMode.SATURATE:
+        return np.minimum(np.maximum(raws, fmt.min_raw), fmt.max_raw)
+    bad = (raws < fmt.min_raw) | (raws > fmt.max_raw)
+    if np.any(bad):
+        offender = int(raws[bad].flat[0])
+        raise OverflowModeError(fmt.to_real(offender), fmt.min_value, fmt.max_value)
+    return raws

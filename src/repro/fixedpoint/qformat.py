@@ -243,12 +243,12 @@ class QFormat:
         This is the hardware behaviour the paper relies on (Section 3): sums
         are taken modulo ``2**(K+F)`` and re-interpreted as signed words.
         """
-        modulus = self.modulus
-        half = modulus >> 1
         if isinstance(raw, np.ndarray):
-            wrapped = np.mod(raw.astype(object) + half, modulus) - half
-            return np.asarray(wrapped).astype(np.int64)
-        return int((int(raw) + half) % modulus - half)
+            from .overflow import OverflowMode, apply_overflow_array
+
+            return apply_overflow_array(raw, self, OverflowMode.WRAP).astype(np.int64)
+        half = self.modulus >> 1
+        return int((int(raw) + half) % self.modulus - half)
 
     # ------------------------------------------------------------------ #
     # Misc

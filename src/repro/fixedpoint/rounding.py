@@ -23,6 +23,7 @@ __all__ = [
     "RoundingMode",
     "round_to_int",
     "shift_right_rounded",
+    "shift_right_rounded_array",
     "float_to_int_exact",
     "ROUNDERS",
 ]
@@ -178,33 +179,41 @@ def shift_right_rounded(
     Equivalent to rounding ``raw / 2**shift`` to an integer, computed in
     unbounded integer arithmetic so the result is bit-exact for any word
     length.  This is how the datapath narrows a ``2F``-fraction product back
-    to ``F`` fractional bits.
+    to ``F`` fractional bits.  The scalar case of
+    :func:`shift_right_rounded_array`.
     """
+    return int(_shift_right_rounded(int(raw), shift, mode))
+
+
+def shift_right_rounded_array(
+    raws: np.ndarray, shift: int, mode: "RoundingMode | str" = RoundingMode.NEAREST_AWAY
+) -> np.ndarray:
+    """:func:`shift_right_rounded` over an int64 or object (Python int) array.
+
+    One body serves both: an arithmetic right shift and a low-bit mask are
+    exact on int64 and Python ints alike, and unlike ``(raw + half) >> shift``
+    no intermediate can overflow int64 (int64 input takes ``shift <= 63``).
+    """
+    return _shift_right_rounded(np.asarray(raws), shift, mode)
+
+
+def _shift_right_rounded(raws, shift: int, mode: "RoundingMode | str"):
     mode = RoundingMode.coerce(mode)
     if shift < 0:
         raise InputValidationError(f"shift must be >= 0, got {shift}")
     if shift == 0:
-        return int(raw)
-    raw = int(raw)
-    div = 1 << shift
-    floor_q, rem = divmod(raw, div)  # Python divmod floors toward -inf
+        return raws
+    floor_q = raws >> shift
+    rem = raws & ((1 << shift) - 1)  # non-negative: the floor remainder
     if mode is RoundingMode.FLOOR:
         return floor_q
     if mode is RoundingMode.CEIL:
-        return floor_q + (1 if rem else 0)
+        return floor_q + (rem != 0)
     if mode is RoundingMode.TOWARD_ZERO:
-        return floor_q + (1 if (rem and raw < 0) else 0)
-    half = div >> 1
+        return floor_q + ((rem != 0) & (raws < 0))
+    half = 1 << (shift - 1)
     if mode is RoundingMode.NEAREST_AWAY:
-        if rem > half or (rem == half and raw >= 0):
-            return floor_q + 1
-        if rem == half and raw < 0:
-            return floor_q  # floor already moved toward -inf; half goes away from 0
-        return floor_q
+        return floor_q + ((rem > half) | ((rem == half) & (raws >= 0)))
     if mode is RoundingMode.NEAREST_EVEN:
-        if rem > half:
-            return floor_q + 1
-        if rem < half:
-            return floor_q
-        return floor_q + (floor_q & 1)
+        return floor_q + ((rem > half) | ((rem == half) & ((floor_q & 1) == 1)))
     raise InputValidationError(f"unsupported mode for exact shift: {mode}")

@@ -13,11 +13,10 @@ holds **bit for bit** for every partition of the signal.  The
 ``stream_vs_batch`` conformance oracle (:mod:`repro.conformance.oracles`)
 fuzzes this equality; the proofs are simple:
 
-- **Fixed-point FIR** — the one-shot loop skips products of samples before
-  the signal start; the stream seeds its raw delay line with zeros instead.
-  A zero raw's product narrows to exactly 0 and adding 0 to an in-range
-  accumulator (then wrapping) is the identity, so the accumulator sequences
-  coincide.
+- **Fixed-point FIR** — each output is a pure function of its window of
+  raw input words (:meth:`FixedPointFir.filter_raws`), and the stepper
+  carries the ``num_taps - 1`` words before each chunk, so every window
+  matches the one-shot call (itself this stepper fed fixed-size blocks).
 - **Fixed-point / float biquads** — the one-shot loops are already
   sequential recurrences; carrying their registers across chunks changes
   nothing.
@@ -37,7 +36,7 @@ import numpy as np
 
 from ..errors import InputValidationError
 from ..fixedpoint.overflow import OverflowMode, apply_overflow_raw
-from ..fixedpoint.quantize import quantize_raw
+from ..fixedpoint.quantize import dequantize_raw, quantize_raw
 from ..fixedpoint.rounding import shift_right_rounded
 from .filters import Biquad
 from .fxbiquad import FixedPointBiquad
@@ -67,49 +66,30 @@ def _chunk_1d(chunk: np.ndarray) -> np.ndarray:
 class FixedPointFirStream:
     """Incremental :meth:`FixedPointFir.apply`, bit-exact per chunk.
 
-    Carries the last ``num_taps - 1`` quantized input words; the stream of
-    outputs equals the one-shot call on the concatenated input exactly
+    Carries the last ``num_taps - 1`` quantized input words and runs
+    :meth:`FixedPointFir.filter_raws` on them plus each chunk; the stream
+    of outputs equals the one-shot call on the concatenated input exactly
     (raw words and therefore the float grid values).
     """
 
     def __init__(self, fir: FixedPointFir) -> None:
         self.fir = fir
-        m = int(fir.tap_raws.size)
-        self._history = np.zeros(max(m - 1, 0), dtype=np.int64)
+        self._history = np.zeros(fir.tap_raws.size - 1, dtype=np.int64)
         self.samples_in = 0
 
     def process(self, chunk: np.ndarray) -> np.ndarray:
         """Filter one chunk; returns real values on the ``fmt`` grid."""
         x = _chunk_1d(chunk)
         fir = self.fir
-        fmt = fir.fmt
-        acc_fmt = fir.accumulator_format
-        x_raws = np.asarray(
-            quantize_raw(
-                x, fmt, rounding=fir.rounding, overflow=OverflowMode.SATURATE
-            ),
-            dtype=np.int64,
+        x_raws = quantize_raw(
+            x, fir.fmt, rounding=fir.rounding, overflow=OverflowMode.SATURATE
         )
-        taps = fir.tap_raws
-        m = taps.size
-        ext = np.concatenate([self._history, x_raws])
-        out = np.empty(x_raws.size, dtype=np.int64)
-        for i in range(x_raws.size):
-            # Window ext[i : i + m] holds x[n - m + 1 .. n] for output n;
-            # the zero-seeded history contributes exact-zero products, so
-            # this accumulator sequence matches the one-shot loop that
-            # simply skips pre-signal terms.
-            acc = 0
-            base = i + m - 1
-            for j in range(m):
-                full = int(taps[j]) * int(ext[base - j])
-                product = shift_right_rounded(full, fmt.fraction_bits, fir.rounding)
-                acc = int(apply_overflow_raw(acc + product, acc_fmt, OverflowMode.WRAP))
-            out[i] = int(apply_overflow_raw(acc, fmt, OverflowMode.SATURATE))
-        if m > 1:
-            self._history = ext[-(m - 1):].copy()
+        line = np.concatenate([self._history, x_raws])
+        out_raws = fir.filter_raws(line)
+        if self._history.size:
+            self._history = line[-self._history.size :].copy()
         self.samples_in += int(x_raws.size)
-        return out.astype(np.float64) * fmt.resolution
+        return dequantize_raw(out_raws, fir.fmt)
 
 
 class FixedPointBiquadStream:

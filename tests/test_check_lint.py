@@ -189,6 +189,8 @@ class TestEngine:
         rule = RPC001FloatOnRawWords()
         assert rule.applies_to("src/repro/fixedpoint/quantize.py")
         assert rule.applies_to("src/repro/serve/engine.py")
+        assert rule.applies_to("src/repro/signal/fxfir.py")
+        assert not rule.applies_to("src/repro/signal/stream.py")
         assert not rule.applies_to("src/repro/stats/normal.py")
 
     def test_rpc004_scope_is_whole_package(self):

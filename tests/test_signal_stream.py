@@ -14,12 +14,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.conformance.oracles import scalar_fir_raws
 from repro.errors import DataError, InputValidationError
 from repro.fixedpoint.qformat import QFormat
+from repro.fixedpoint.quantize import quantize_raw
 from repro.fixedpoint.rounding import RoundingMode
 from repro.signal.filters import design_fir, fir_direct
 from repro.signal.fxbiquad import FixedPointBiquad
-from repro.signal.fxfir import FixedPointFir
+from repro.signal.fxfir import FixedPointFir, fir_int64_path_available
 from repro.signal.preprocess import (
     decimate,
     design_notch,
@@ -119,6 +121,74 @@ class TestFixedPointFirStream:
             FixedPointFir(taps=np.array([1.0]), fmt=QFormat(3, 4)).apply(
                 np.zeros((2, 3))
             )
+
+
+class TestFirKernelPaths:
+    """The int64/object predicate at its flip points, both sides against
+    the scalar reference, and the degenerate shapes on each path."""
+
+    @staticmethod
+    def assert_matches_reference(fir: FixedPointFir, signal: np.ndarray) -> None:
+        want_raws = scalar_fir_raws(fir, signal)
+        x_raws = quantize_raw(signal, fir.fmt, rounding=fir.rounding, overflow="saturate")
+        line = np.concatenate([np.zeros(fir.tap_raws.size - 1, dtype=np.int64), x_raws])
+        assert np.array_equal(fir.filter_raws(line.astype(object)), want_raws)
+        want = want_raws * fir.fmt.resolution
+        assert np.array_equal(fir.apply(signal), want)
+        assert np.array_equal(chunked(fir.stream(), signal, [1, 2, signal.size - 3]), want)
+
+    @pytest.mark.parametrize(
+        "fmt,last_int64_taps",
+        [(QFormat(32, 0), 1), (QFormat(31, 1), 3), (QFormat(30, 2), 7), (QFormat(28, 0), 511)],
+        ids=str,
+    )
+    def test_predicate_flips_at_exact_tap_count(self, fmt, last_int64_taps):
+        assert fir_int64_path_available(fmt, last_int64_taps)
+        assert not fir_int64_path_available(fmt, last_int64_taps + 1)
+        # Taps and samples at min_value form the largest products there are.
+        signal = np.tile([fmt.min_value, fmt.max_value, fmt.min_value, 0.0, 1.0], 3)
+        for num_taps in (last_int64_taps, last_int64_taps + 1):
+            fir = FixedPointFir(
+                taps=np.full(num_taps, fmt.min_value), fmt=fmt,
+                guard_bits=64 - fmt.word_length,
+            )
+            self.assert_matches_reference(fir, signal)
+
+    @pytest.mark.parametrize(
+        "fits,too_wide", [(QFormat(32, 0), QFormat(33, 0)), (QFormat(16, 16), QFormat(16, 17))],
+        ids=str,
+    )
+    def test_predicate_flips_at_exact_word_length(self, fits, too_wide):
+        assert fir_int64_path_available(fits, 1)
+        assert not fir_int64_path_available(too_wide, 1)
+        for fmt in (fits, too_wide):
+            fir = FixedPointFir(
+                taps=np.array([fmt.min_value]), fmt=fmt, guard_bits=64 - fmt.word_length
+            )
+            self.assert_matches_reference(fir, np.array([fmt.min_value, fmt.max_value] * 3))
+
+    def test_wide_format_takes_object_path_and_matches_reference(self, signal):
+        fmt = QFormat(20, 20)
+        assert not fir_int64_path_available(fmt, 9)
+        fir = FixedPointFir(
+            taps=design_fir(9, (1.0, 40.0), kind="bandpass", sample_rate=250.0) * 3e4,
+            fmt=fmt,
+            guard_bits=4,
+            rounding=RoundingMode.NEAREST_EVEN,
+        )
+        self.assert_matches_reference(fir, signal * 1e5)
+
+    @pytest.mark.parametrize("fmt", [QFormat(3, 4), QFormat(20, 20)], ids=str)
+    def test_empty_chunks_and_single_tap_on_both_paths(self, fmt, signal):
+        for taps in (np.array([0.75]), np.array([0.5, -0.25, 0.125])):
+            fir = FixedPointFir(taps=taps, fmt=fmt, guard_bits=1)
+            assert fir.apply(np.zeros(0)).shape == (0,)
+            stream = fir.stream()
+            assert stream.process(np.zeros(0)).shape == (0,)
+            pieces = [stream.process(signal[:5]), stream.process(np.zeros(0)), stream.process(signal[5:])]
+            want = scalar_fir_raws(fir, signal) * fmt.resolution
+            assert np.array_equal(np.concatenate(pieces), want)
+            self.assert_matches_reference(fir, signal)
 
 
 # --------------------------------------------------------------------- #
