@@ -87,6 +87,31 @@ def test_bench_full_train_4bit(benchmark, scaled_synthetic):
 
 BENCH_SOLVER_SCHEMA = "repro.bench-solver/v1"
 
+
+def host_fingerprint() -> dict:
+    """The recording host: CPU model and count, Python, numpy and scipy."""
+    import os
+    import platform
+
+    import scipy
+
+    cpu = platform.processor() or platform.machine()
+    try:
+        with open("/proc/cpuinfo") as handle:
+            for line in handle:
+                if line.startswith("model name"):
+                    cpu = line.split(":", 1)[1].strip()
+                    break
+    except OSError:
+        pass
+    return {
+        "cpu_model": cpu,
+        "cpu_count": os.cpu_count() or 1,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+    }
+
 # The pinned Q2.3 solver benchmark instance: the paper's synthetic dataset
 # (1000 trials/class, seed 0) scaled to 90% of the format range, solved to
 # proven optimality with no time budget.  Both solver benchmarks below and
@@ -151,6 +176,7 @@ def test_bench_presolve_node_reduction(pinned_q23, merge_bench):
         {
             "schema": BENCH_SOLVER_SCHEMA,
             "presolve_node_reduction": {
+                "host": host_fingerprint(),
                 "case": PINNED_Q23,
                 "plain_nodes": plain.nodes_expanded,
                 "accelerated_nodes": accelerated.nodes_expanded,
@@ -214,6 +240,7 @@ def test_bench_bnb_parallel_vs_serial(pinned_q23, merge_bench):
         {
             "schema": BENCH_SOLVER_SCHEMA,
             "bnb_parallel_vs_serial": {
+                "host": host_fingerprint(),
                 "case": PINNED_Q23,
                 "arm": "plain",
                 "cpu_count": cpus,

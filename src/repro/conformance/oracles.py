@@ -35,6 +35,7 @@ __all__ = [
     "ORACLES",
     "get_oracle",
     "scalar_fir_raws",
+    "scalar_ldafp_evaluate",
 ]
 
 
@@ -391,6 +392,35 @@ class SolverParallelOracle(Oracle):
                     f"serial {getattr(r1, field)}",
                     case,
                 )
+
+
+def scalar_ldafp_evaluate(problem, weights: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+    """Eq. 18/20 violation and Eq. 21 cost of each row: the per-row reference.
+
+    One weight vector at a time, in the order of the paper's equations:
+    the per-feature product intervals, the projection cones through each
+    class Cholesky factor, the Eq. 28 range, then the Fisher ratio with
+    ``inf`` on ``t == 0``.
+    """
+    beta, lo, hi = problem.beta, problem.value_lo, problem.value_hi
+    stats = problem.stats
+    violations, costs = [], []
+    for w in np.asarray(weights, dtype=np.float64):
+        worst = -np.inf
+        for cls in (stats.class_a, stats.class_b):
+            upper = w * cls.mean + beta * np.abs(w) * cls.std
+            lower = w * cls.mean - beta * np.abs(w) * cls.std
+            worst = max(worst, float(np.max(upper - hi)), float(np.max(lo - lower)))
+        for cls, chol in ((stats.class_a, problem._chol_a), (stats.class_b, problem._chol_b)):
+            center = float(w @ cls.mean)
+            spread = beta * float(np.linalg.norm(chol.T @ w))
+            worst = max(worst, (center + spread) - hi, lo - (center - spread))
+        worst = max(worst, float(np.max(w - hi)), float(np.max(lo - w)))
+        violations.append(worst)
+        numerator = float(w @ stats.within_scatter @ w)
+        t = float(stats.mean_difference @ w)
+        costs.append(float("inf") if t == 0.0 else numerator / (t * t))
+    return np.asarray(violations, dtype=np.float64), np.asarray(costs, dtype=np.float64)
 
 
 # --------------------------------------------------------------------- #

@@ -3,7 +3,12 @@
 from .classifier import FixedPointLinearClassifier
 from .lda import LdaModel, fit_lda, quantize_lda
 from .ldafp import LdaFpConfig, LdaFpNodeProblem, LdaFpReport, train_lda_fp
-from .localsearch import LocalSearchResult, coordinate_descent, scale_sweep_candidates
+from .localsearch import (
+    LocalSearchResult,
+    ScoredPoint,
+    coordinate_descent,
+    scale_sweep_candidates,
+)
 from .multiclass import MulticlassFixedPointClassifier, train_one_vs_rest
 from .pipeline import PipelineConfig, PipelineResult, TrainingPipeline
 from .problem import LdaFpProblem, eta_inf, eta_sup
@@ -25,6 +30,7 @@ __all__ = [
     "LdaFpReport",
     "train_lda_fp",
     "LocalSearchResult",
+    "ScoredPoint",
     "coordinate_descent",
     "scale_sweep_candidates",
     "PipelineConfig",

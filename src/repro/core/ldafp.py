@@ -4,10 +4,11 @@
 :class:`~repro.optim.bnb.BranchAndBoundSolver`:
 
 - **relax** builds the Eq. 25 cone program with ``eta = sup t^2`` (Eq. 26)
-  and solves it with the barrier solver (SLSQP fallback).  The node's lower
-  bound is the relaxation optimum minus the solver's duality gap.  Cheap
-  interval arithmetic prunes nodes whose ``t`` interval cannot be realized
-  by any ``w`` in the box.
+  and solves it with SLSQP; under ``backend="auto"`` the barrier solver
+  retries the nodes SLSQP fails on.  The node's lower bound is the
+  relaxation optimum minus the solver's duality gap.  Cheap interval
+  arithmetic prunes nodes whose ``t`` interval cannot be realized by any
+  ``w`` in the box.
 - **candidates** implements the Eq. 27 upper-bound rule: round the
   relaxation solution to the grid, plus the scale-sweep and (optionally)
   coordinate-descent heuristics from :mod:`repro.core.localsearch`.
@@ -24,7 +25,6 @@ report.
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence
@@ -51,7 +51,7 @@ from ..data.dataset import Dataset
 from ..stats.scatter import estimate_two_class_stats
 from .classifier import FixedPointLinearClassifier
 from .lda import fit_lda
-from .localsearch import coordinate_descent, scale_sweep_candidates
+from .localsearch import coordinate_descent, scale_sweep_candidates, score_rows
 from .problem import LdaFpProblem, eta_inf, eta_sup
 
 __all__ = ["LdaFpConfig", "LdaFpReport", "LdaFpNodeProblem", "train_lda_fp"]
@@ -387,21 +387,19 @@ class LdaFpNodeProblem:
         if relaxation.solution is None:
             return []
         base = np.asarray(relaxation.solution, dtype=np.float64)
-        trials: List[np.ndarray] = [np.asarray(quantize(base, self.problem.fmt))]
+        rounded = np.asarray(quantize(base, self.problem.fmt))
+        # The rounded point is scored here; the ladder arrives scored.
+        scored = score_rows(self.problem, rounded[None, :])
         if self.config.scale_sweep:
-            trials.extend(scale_sweep_candidates(self.problem, base))
+            scored.extend(scale_sweep_candidates(self.problem, base))
         out: List[Candidate] = []
-        for trial in trials:
+        for trial, violation, cost in scored:
             key = trial.tobytes()
             if key in self._seen_candidates:
                 continue
             self._seen_candidates.add(key)
-            if not np.any(trial):
-                continue
-            if self.problem.constraint_violation(trial) > _FEAS_TOL:
-                continue
-            cost = self.problem.cost(trial)
-            if not np.isfinite(cost):
+            # The all-zero rounding has t == 0, so its cost is inf.
+            if violation > _FEAS_TOL or not np.isfinite(cost):
                 continue
             # Polishing every rounded point is wasteful: only points already
             # competitive with the best incumbent are worth refining.
@@ -493,19 +491,14 @@ class LdaFpNodeProblem:
     def resolve_terminal(self, box: Box) -> Iterable[Candidate]:
         m = self.problem.num_features
         grids = [box.grid_values(dim) for dim in range(m)]
-        out: List[Candidate] = []
-        # Cartesian product over the (small) terminal grid; the size cap is
-        # guaranteed by is_terminal.
-        for combo in itertools.product(*grids):
-            w = np.array(combo)
-            if not np.any(w):
-                continue
-            if self.problem.constraint_violation(w) > _FEAS_TOL:
-                continue
-            cost = self.problem.cost(w)
-            if np.isfinite(cost):
-                out.append(Candidate(x=w, cost=cost))
-        return out
+        # The Cartesian product of the (small) terminal grid as one matrix,
+        # rows in itertools.product order; the size cap is guaranteed by
+        # is_terminal.  The all-zero row has t == 0, so its cost is inf.
+        mesh = np.meshgrid(*grids, indexing="ij")
+        points = np.stack([axis.ravel() for axis in mesh], axis=1)
+        violation, cost = self.problem.evaluate(points)
+        keep = np.flatnonzero((violation <= _FEAS_TOL) & np.isfinite(cost))
+        return [Candidate(x=points[k], cost=c) for k, c in zip(keep, cost[keep].tolist())]
 
 
 def _warm_start_candidate(
@@ -554,10 +547,9 @@ def _warm_start_candidate(
         norm = float(np.linalg.norm(raw))
         if norm == 0.0 or not np.isfinite(norm):
             continue
-        for candidate in scale_sweep_candidates(problem, raw / norm):
-            if problem.constraint_violation(candidate) > _FEAS_TOL:
+        for candidate, violation, cost in scale_sweep_candidates(problem, raw / norm):
+            if violation > _FEAS_TOL:
                 continue
-            cost = problem.cost(candidate)
             if np.isfinite(cost) and (best is None or cost < best.cost):
                 best = Candidate(x=candidate, cost=cost)
     if best is not None and config.local_search:

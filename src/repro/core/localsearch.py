@@ -17,13 +17,40 @@ speed-up heuristics without detail).  Two roles:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import List, NamedTuple
 
 import numpy as np
 
-from ..fixedpoint.quantize import nearest_grid_neighbors, quantize
+from ..errors import InputValidationError
+from ..fixedpoint.quantize import quantize
 from .problem import LdaFpProblem
 
-__all__ = ["LocalSearchResult", "coordinate_descent", "scale_sweep_candidates"]
+__all__ = [
+    "LocalSearchResult",
+    "ScoredPoint",
+    "coordinate_descent",
+    "scale_sweep_candidates",
+    "score_rows",
+]
+
+_FEAS_TOL = 1e-9
+
+
+class ScoredPoint(NamedTuple):
+    """A grid weight vector with its exact violation and cost."""
+
+    weights: np.ndarray
+    violation: float
+    cost: float
+
+
+def score_rows(problem: LdaFpProblem, rows: np.ndarray) -> "List[ScoredPoint]":
+    """Score an ``(n, M)`` matrix in one :meth:`LdaFpProblem.evaluate` call."""
+    violation, cost = problem.evaluate(rows)
+    return [
+        ScoredPoint(row, v, c)
+        for row, v, c in zip(rows, violation.tolist(), cost.tolist())
+    ]
 
 
 @dataclass(frozen=True)
@@ -44,6 +71,15 @@ def coordinate_descent(
 ) -> LocalSearchResult:
     """Exact-cost coordinate descent from a feasible grid point.
 
+    Each sweep visits the coordinates in order and moves one to the best
+    feasible improving grid value within ``radius`` quanta (ties go to the
+    lowest value).  The sweep is scored speculatively: every window move of
+    every coordinate not yet visited is scored in one batch against the
+    current point; the first coordinate with an improving move takes it,
+    and the batch is rescored from the next coordinate.  Moves of the later
+    coordinates were scored against the same point and cost the one-at-a-
+    time sweep would have used, so the result is that sweep's result.
+
     Parameters
     ----------
     problem:
@@ -52,35 +88,41 @@ def coordinate_descent(
         Feasible grid starting point.
     radius:
         Moves considered per coordinate: grid values within ``radius``
-        quanta of the current value.
+        quanta of the current value, clipped to the format's range.
     max_sweeps:
         Sweep budget; ``converged`` is False if it runs out first.
     """
-    w = np.asarray(quantize(np.asarray(start, dtype=np.float64), problem.fmt))
+    if radius < 0:
+        raise InputValidationError(f"radius must be >= 0, got {radius}")
+    fmt = problem.fmt
+    w = np.asarray(quantize(np.asarray(start, dtype=np.float64), fmt))
     best_cost = problem.cost(w)
+    offsets = np.arange(-radius, radius + 1, dtype=np.float64)
+    offsets = offsets[offsets != 0.0]
     moves = 0
     converged = False
     for _ in range(max_sweeps):
         improved = False
-        for i in range(w.size):
-            candidates = nearest_grid_neighbors(float(w[i]), problem.fmt, radius=radius)
-            best_move = None
-            for value in candidates:
-                if value == w[i]:
-                    continue
-                trial = w.copy()
-                trial[i] = value
-                if problem.constraint_violation(trial) > 1e-9:
-                    continue
-                cost = problem.cost(trial)
-                if cost < best_cost - 1e-15 and (
-                    best_move is None or cost < best_move[0]
-                ):
-                    best_move = (cost, value)
-            if best_move is not None:
-                best_cost, w[i] = best_move[0], best_move[1]
-                moves += 1
-                improved = True
+        first = 0
+        while first < w.size:
+            # Grid words of the window around each remaining coordinate
+            # (exact: w is on the grid), coordinate-major, ascending.
+            words = w[first:, None] * float(1 << fmt.fraction_bits) + offsets
+            in_range = (words >= fmt.min_raw) & (words <= fmt.max_raw)
+            coord = np.nonzero(in_range)[0] + first
+            trials = np.repeat(w[None, :], coord.size, axis=0)
+            trials[np.arange(coord.size), coord] = words[in_range] * fmt.resolution
+            violation, cost = problem.evaluate(trials)
+            hits = np.flatnonzero((violation <= _FEAS_TOL) & (cost < best_cost - 1e-15))
+            if hits.size == 0:
+                break
+            i = coord[hits[0]]
+            hits = hits[coord[hits] == i]
+            k = hits[np.argmin(cost[hits])]
+            best_cost, w[i] = float(cost[k]), trials[k, i]
+            moves += 1
+            improved = True
+            first = i + 1
         if not improved:
             converged = True
             break
@@ -92,7 +134,7 @@ def scale_sweep_candidates(
     direction: np.ndarray,
     num_scales: int = 24,
     refine: bool = True,
-) -> "list[np.ndarray]":
+) -> "List[ScoredPoint]":
     """Grid roundings of ``lambda * direction`` over a ladder of scales.
 
     The continuous cost (Eq. 10) is invariant to ``lambda`` but the rounded
@@ -101,9 +143,11 @@ def scale_sweep_candidates(
     both signs.  With ``refine``, a second, finer ladder is placed around
     the coarse ladder's best feasible scale — this is what lets the rounded
     conventional solution reach the continuous optimum at large word
-    lengths (paper Table 1, 14-16 bit rows).  The all-zero rounding is
-    dropped; infeasible candidates are kept for the caller to filter (they
-    are cheap to test).
+    lengths (paper Table 1, 14-16 bit rows).  Each ladder is quantized as
+    one ``(2 * scales, M)`` matrix and its new rows are scored in one
+    :meth:`LdaFpProblem.evaluate` call.  The all-zero rounding and repeats
+    are dropped; infeasible candidates are kept, with their scores, for the
+    caller to filter.
     """
     d = np.asarray(direction, dtype=np.float64)
     peak = float(np.max(np.abs(d)))
@@ -113,38 +157,33 @@ def scale_sweep_candidates(
     lo_scale = fmt.resolution / peak
     hi_scale = fmt.max_value / peak
     if hi_scale <= lo_scale:
-        scales = [hi_scale]
+        scales = np.array([hi_scale])
     else:
-        scales = list(np.geomspace(lo_scale, hi_scale, num=num_scales))
+        scales = np.geomspace(lo_scale, hi_scale, num=num_scales)
 
-    out: "list[np.ndarray]" = []
+    out: "List[ScoredPoint]" = []
     seen: "set[bytes]" = set()
 
-    def add(scale: float) -> "tuple[float, np.ndarray] | None":
-        best_here = None
-        for sign in (1.0, -1.0):
-            candidate = np.asarray(quantize(sign * scale * d, fmt))
-            if not np.any(candidate):
-                continue
-            key = candidate.tobytes()
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append(candidate)
-            if problem.constraint_violation(candidate) <= 1e-9:
-                cost = problem.cost(candidate)
-                if np.isfinite(cost) and (best_here is None or cost < best_here[0]):
-                    best_here = (cost, candidate)
-        return best_here
+    def add(ladder: np.ndarray) -> np.ndarray:
+        """Append the ladder's new roundings; return each scale's best cost."""
+        signed = np.repeat(ladder, 2) * np.tile([1.0, -1.0], ladder.size)
+        grid = np.asarray(quantize(signed[:, None] * d, fmt))
+        fresh = []
+        for k in np.flatnonzero(grid.any(axis=1)).tolist():
+            key = grid[k].tobytes()
+            if key not in seen:
+                seen.add(key)
+                fresh.append(k)
+        scored = score_rows(problem, grid[fresh])
+        out.extend(scored)
+        best = np.full(ladder.size, np.inf)
+        for k, point in zip(fresh, scored):
+            if point.violation <= _FEAS_TOL and point.cost < best[k // 2]:
+                best[k // 2] = point.cost
+        return best
 
-    best_scale = None
-    best_cost = np.inf
-    for scale in scales:
-        result = add(float(scale))
-        if result is not None and result[0] < best_cost:
-            best_cost, best_scale = result[0], float(scale)
-
-    if refine and best_scale is not None:
-        for scale in np.linspace(best_scale / 1.4, min(best_scale * 1.4, hi_scale), 24):
-            add(float(scale))
+    best = add(scales)
+    if refine and np.isfinite(best).any():
+        best_scale = float(scales[np.argmin(best)])
+        add(np.linspace(best_scale / 1.4, min(best_scale * 1.4, hi_scale), 24))
     return out

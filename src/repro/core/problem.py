@@ -5,10 +5,10 @@ the two-class statistics (computed from *quantized* training data, per
 Algorithm 1 step 1), the format ``QK.F``, and the confidence parameter
 ``beta`` (Eq. 16).  From these it can
 
-- check **exact discrete feasibility** of a grid weight vector against the
-  per-feature (Eq. 18) and projection (Eq. 20) overflow constraints,
-- evaluate the **exact cost** (Eq. 10/21, with ``inf`` on a vanishing
-  denominator),
+- score a whole ``(n, M)`` matrix of grid weight vectors in one call
+  (:meth:`LdaFpProblem.evaluate`): **exact discrete feasibility** against
+  the per-feature (Eq. 18) and projection (Eq. 20) overflow constraints and
+  the **exact cost** (Eq. 10/21, with ``inf`` on a vanishing denominator),
 - build the **root box** over ``(w, t)`` (Eq. 28-29), and
 - build the **convex cone-program relaxation** of any node box (Eq. 25),
   with ``eta`` chosen by the supremum rule (Eq. 26, lower bounds) or the
@@ -98,6 +98,14 @@ class LdaFpProblem:
         self._chol_b = cholesky(
             nearest_psd(self.stats.class_b.covariance, floor=self.psd_floor)
         )
+        # Batched-evaluator operands, per class along axis 0.  The Cholesky
+        # factors are stacked and transposed back, so each is the same
+        # strided ``chol.T`` view the one-row expression multiplies by.
+        classes = (self.stats.class_a, self.stats.class_b)
+        self._means = np.stack([cls.mean for cls in classes])
+        self._stds = np.stack([cls.std for cls in classes])
+        self._linear = np.vstack([self._means, self.stats.mean_difference])[:, :, None]
+        self._chol_t = np.stack([self._chol_a, self._chol_b]).transpose(0, 2, 1)
 
     # ------------------------------------------------------------------ #
     @property
@@ -117,9 +125,54 @@ class LdaFpProblem:
     # ------------------------------------------------------------------ #
     # Exact discrete-space evaluation
     # ------------------------------------------------------------------ #
+    def evaluate(self, weights: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+        """Exact violation and cost of every row of an ``(n, M)`` grid matrix.
+
+        Returns ``(violation[n], cost[n])``: the largest violation of the
+        Eq. 18 + Eq. 20 constraints and of the Eq. 28 range (``<= 0``
+        feasible), evaluated exactly (with ``|w|`` and the square root, not
+        through the linearized relaxation rows), and the Eq. 21 objective
+        ``w' S_W w / ((mu_A - mu_B)' w)^2`` (``inf`` on a vanishing
+        denominator).
+
+        Every dot product is a stacked ``matmul`` of one row against one
+        vector or matrix, which runs the same kernel per row as the
+        one-row expression ``w @ S_W @ w``: a row scores to the same bits
+        alone or inside any batch.  (``einsum``, ``W @ d`` and
+        ``norm(axis=1)`` may reduce in another order, off by an ulp.)
+        """
+        w = np.asarray(weights, dtype=np.float64)
+        if w.ndim != 2 or w.shape[1] != self.num_features:
+            raise OptimizationError(
+                f"expected an (n, {self.num_features}) matrix, got shape {w.shape}"
+            )
+        (n, m), beta = w.shape, self.beta
+        rows, cols = w[:, None, :], w[:, :, None]
+        # Eq. 18 products per class: w mu +- (beta |w|) sigma.
+        products = rows * self._means
+        spreads = (beta * np.abs(w))[:, None, :] * self._stds
+        # Eq. 20 centres per class and t = (mu_A - mu_B)' w, one dot each.
+        linear = (rows[:, None] @ self._linear)[:, :, 0, 0]
+        centers, t = linear[:, :2], linear[:, 2]
+        projected = self._chol_t @ cols[:, None]
+        cone = beta * np.sqrt((projected.transpose(0, 1, 3, 2) @ projected)[:, :, 0, 0])
+        # Every expression that must stay <= hi, and every one that must
+        # stay >= lo (the weights themselves: Eq. 28).  Rounding is
+        # monotone, so max(x) - hi is exactly the largest x - hi.
+        high = [(products + spreads).reshape(n, 2 * m), centers + cone, w]
+        low = [(products - spreads).reshape(n, 2 * m), centers - cone, w]
+        violation = np.maximum(
+            np.concatenate(high, axis=1).max(axis=1) - self.value_hi,
+            self.value_lo - np.concatenate(low, axis=1).min(axis=1),
+        )
+
+        numerator = (rows @ self.stats.within_scatter @ cols)[:, 0, 0]
+        cost = np.divide(numerator, t * t, out=np.full(n, np.inf), where=t != 0.0)
+        return violation, cost
+
     def cost(self, weights: np.ndarray) -> float:
-        """Eq. 21 objective: ``w' S_W w / ((mu_A - mu_B)' w)^2``."""
-        return self.stats.fisher_cost(weights)
+        """Eq. 21 objective of one weight vector (see :meth:`evaluate`)."""
+        return float(self.evaluate(np.asarray(weights, dtype=np.float64)[None, :])[1][0])
 
     def on_grid(self, weights: np.ndarray, tol: float = 1e-12) -> bool:
         """Eq. 13: every element representable in ``QK.F``."""
@@ -128,36 +181,8 @@ class LdaFpProblem:
         return bool(np.max(np.abs(snapped - w)) <= tol)
 
     def constraint_violation(self, weights: np.ndarray) -> float:
-        """Largest violation of the Eq. 18 + Eq. 20 constraints (<= 0 feasible).
-
-        Evaluated exactly (with ``|w|`` and the square root), not through
-        the linearized relaxation rows.
-        """
-        w = np.asarray(weights, dtype=np.float64)
-        beta = self.beta
-        lo, hi = self.value_lo, self.value_hi
-        worst = -np.inf
-
-        for cls in (self.stats.class_a, self.stats.class_b):
-            mu, sigma = cls.mean, cls.std
-            upper = w * mu + beta * np.abs(w) * sigma
-            lower = w * mu - beta * np.abs(w) * sigma
-            worst = max(worst, float(np.max(upper - hi)))
-            worst = max(worst, float(np.max(lo - lower)))
-
-        for cls, chol in (
-            (self.stats.class_a, self._chol_a),
-            (self.stats.class_b, self._chol_b),
-        ):
-            center = float(w @ cls.mean)
-            spread = beta * float(np.linalg.norm(chol.T @ w))
-            worst = max(worst, (center + spread) - hi)
-            worst = max(worst, lo - (center - spread))
-
-        # Box membership of the weights themselves (Eq. 28).
-        worst = max(worst, float(np.max(w - self.value_hi)))
-        worst = max(worst, float(np.max(self.value_lo - w)))
-        return worst
+        """Eq. 18 + Eq. 20 violation of one weight vector (see :meth:`evaluate`)."""
+        return float(self.evaluate(np.asarray(weights, dtype=np.float64)[None, :])[0][0])
 
     def is_feasible(self, weights: np.ndarray, tol: float = 1e-9) -> bool:
         """Exact feasibility of a candidate: grid membership + constraints."""

@@ -29,7 +29,6 @@ from .overflow import OverflowMode, apply_overflow_raw
 from .qformat import QFormat
 from .quantize import (
     dequantize_raw,
-    nearest_grid_neighbors,
     quantization_noise,
     quantize,
     quantize_raw,
@@ -50,7 +49,6 @@ __all__ = [
     "quantize_raw",
     "dequantize_raw",
     "quantization_noise",
-    "nearest_grid_neighbors",
     "round_to_int",
     "shift_right_rounded",
     "apply_overflow_raw",

@@ -24,7 +24,6 @@ __all__ = [
     "quantize_raw",
     "dequantize_raw",
     "quantization_noise",
-    "nearest_grid_neighbors",
 ]
 
 ArrayLike = Union[float, np.ndarray]
@@ -114,19 +113,3 @@ def quantization_noise(value: ArrayLike, fmt: QFormat, **kwargs) -> np.ndarray:
     return np.asarray(quantize(value, fmt, **kwargs)) - np.asarray(
         value, dtype=np.float64
     )
-
-
-def nearest_grid_neighbors(value: float, fmt: QFormat, radius: int = 1) -> np.ndarray:
-    """Representable values within ``radius`` quanta of ``value``.
-
-    Used by the discrete local-search polish: given a continuous relaxation
-    solution, the candidate discrete moves for one coordinate are the grid
-    points in a small window around it.  The result is clipped to the
-    format's range and sorted in increasing order.
-    """
-    if radius < 0:
-        raise InputValidationError(f"radius must be >= 0, got {radius}")
-    center = int(quantize_raw(float(value), fmt))
-    raws = np.arange(center - radius, center + radius + 1, dtype=np.int64)
-    raws = raws[(raws >= fmt.min_raw) & (raws <= fmt.max_raw)]
-    return dequantize_raw(raws, fmt)

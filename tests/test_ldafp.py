@@ -284,3 +284,42 @@ class TestNodeProblem:
         for candidate in node_problem.candidates(root, relaxation):
             assert problem.is_feasible(candidate.x)
             assert np.isfinite(candidate.cost)
+
+    @pytest.mark.parametrize("fmt", [QFormat(2, 2), QFormat(2, 3)])
+    def test_terminal_matches_product_order(self, synthetic_train, fmt):
+        import itertools
+
+        from repro.conformance.oracles import scalar_ldafp_evaluate
+        from repro.optim.boxes import Box
+
+        quantized = synthetic_train.map_features(lambda x: np.asarray(quantize(x, fmt)))
+        stats = estimate_two_class_stats(quantized.class_a, quantized.class_b)
+        problem = LdaFpProblem(stats=stats, fmt=fmt)
+        node_problem = LdaFpNodeProblem(problem, LdaFpConfig())
+        steps = problem.root_box().steps
+
+        def box(lo, hi):  # w corners in quanta, wide t interval
+            return Box(
+                lo=np.array([*lo, -9.0]) * fmt.resolution,
+                hi=np.array([*hi, 9.0]) * fmt.resolution,
+                steps=steps,
+            )
+
+        boxes = [
+            # Straddles zero in every dimension: the all-zero row is in the grid.
+            box([-2, -1, -2], [2, 2, 1]),
+            box([1, -3, 0], [3, 0, 2]),
+            # The second dimension holds no grid point.
+            box([-1, 0.2, -1], [1, 0.7, 1]),
+        ]
+        for box in boxes:
+            grids = [box.grid_values(dim) for dim in range(3)]
+            want = []
+            for combo in itertools.product(*grids):
+                w = np.array(combo)
+                violation, cost = scalar_ldafp_evaluate(problem, w[None, :])
+                if np.any(w) and violation[0] <= 1e-9 and np.isfinite(cost[0]):
+                    want.append((w.tobytes(), float(cost[0])))
+            got = [(c.x.tobytes(), c.cost) for c in node_problem.resolve_terminal(box)]
+            assert got == want
+        assert not node_problem.resolve_terminal(boxes[2])

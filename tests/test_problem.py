@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.conformance.oracles import scalar_ldafp_evaluate
 from repro.core.problem import LdaFpProblem, eta_inf, eta_sup
 from repro.errors import OptimizationError
 from repro.fixedpoint.qformat import QFormat
@@ -263,3 +265,86 @@ class TestNodeProgram:
         d = problem.stats.mean_difference
         assert hi == pytest.approx(float(np.sum(np.abs(d))))
         assert lo == pytest.approx(-float(np.sum(np.abs(d))))
+
+
+@st.composite
+def evaluator_cases(draw):
+    """An instance and an ``(n, M)`` grid matrix covering the edge rows.
+
+    ``mean_difference`` gets two equal dyadic components and a zero one (when
+    ``M`` allows), so rows orthogonal to it exist on the grid and take the
+    ``t == 0`` path; ``rank_deficient`` gives class covariances of rank 1,
+    which go through the ``psd_floor`` Cholesky path.
+    """
+    m = draw(st.sampled_from([1, 2, 3, 5, 8]))
+    fmt = QFormat(draw(st.integers(2, 3)), draw(st.integers(0, 5)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rank_deficient = draw(st.booleans())
+    d = rng.uniform(-1.0, 1.0, size=m)
+    if m >= 2:
+        # Dyadic, so both products of an orthogonal pair are exact and
+        # cancel to 0 even under a fused multiply-add.
+        d[:2] = rng.integers(-16, 17) / 16.0
+    if m >= 3:
+        d[2] = 0.0
+    mean_a = rng.uniform(-0.5, 0.5, size=m)
+    covs = []
+    for _ in range(2):
+        if rank_deficient:
+            v = rng.standard_normal(m) * 0.2
+            covs.append(np.outer(v, v))
+        else:
+            mixing = rng.standard_normal((m, m)) * 0.2
+            covs.append(mixing @ mixing.T + 1e-3 * np.eye(m))
+    stats = TwoClassStats(
+        class_a=ClassStats(mean_a, covs[0], 100),
+        class_b=ClassStats(mean_a - d, covs[1], 100),
+        within_scatter=0.5 * (covs[0] + covs[1]),
+        mean_difference=d,
+    )
+    problem = LdaFpProblem(stats=stats, fmt=fmt, rho=draw(st.sampled_from([0.9, 0.99])))
+    n_random = draw(st.integers(0, 16))
+    raws = rng.integers(fmt.min_raw, fmt.max_raw + 1, size=(n_random, m))
+    rows = [raws * fmt.resolution, np.zeros((1, m))]
+    rows.append(np.full((1, m), problem.value_lo))
+    rows.append(np.full((1, m), problem.value_hi))
+    rows.append(np.where(np.arange(m) % 2, problem.value_lo, problem.value_hi)[None, :])
+    orthogonal = []
+    if m >= 2:
+        pair = np.zeros((1, m))
+        value = fmt.resolution * float(rng.integers(1, fmt.max_raw + 1))
+        pair[0, :2] = value, -value
+        orthogonal.append(pair)
+    if m >= 3:
+        lone = np.zeros((1, m))
+        lone[0, 2] = problem.value_lo
+        orthogonal.append(lone)
+    matrix = np.concatenate(rows + orthogonal)
+    order = rng.permutation(matrix.shape[0])
+    return problem, matrix[order], np.flatnonzero(order >= matrix.shape[0] - len(orthogonal))
+
+
+class TestBatchedEvaluator:
+    @settings(max_examples=80, deadline=None)
+    @given(evaluator_cases())
+    def test_matches_scalar_reference_bit_for_bit(self, case):
+        problem, matrix, orthogonal = case
+        for rows in (matrix, matrix[:0], matrix[:1]):
+            violation, cost = problem.evaluate(rows)
+            want_violation, want_cost = scalar_ldafp_evaluate(problem, rows)
+            assert violation.shape == cost.shape == (rows.shape[0],)
+            assert np.array_equal(violation, want_violation)
+            assert np.array_equal(cost, want_cost)
+        assert np.all(np.isinf(problem.evaluate(matrix[orthogonal])[1]))
+
+    def test_scalar_forms_are_the_one_row_case(self, problem):
+        w = np.array([0.5, -0.25])
+        violation, cost = problem.evaluate(w[None, :])
+        assert problem.constraint_violation(w) == violation[0]
+        assert problem.cost(w) == cost[0]
+
+    def test_shape_checked(self, problem):
+        with pytest.raises(OptimizationError):
+            problem.evaluate(np.zeros((2, 3)))
+        with pytest.raises(OptimizationError):
+            problem.evaluate(np.zeros(2))

@@ -10,7 +10,6 @@ from repro.conformance.strategies import finite_floats, qformats
 from repro.fixedpoint.overflow import OverflowMode
 from repro.fixedpoint.quantize import (
     dequantize_raw,
-    nearest_grid_neighbors,
     quantization_noise,
     quantize,
     quantize_raw,
@@ -98,21 +97,3 @@ class TestQuantizationNoise:
 
     def test_sign_of_noise(self, q2_2):
         assert float(quantization_noise(0.3, q2_2)) == pytest.approx(-0.05)
-
-
-class TestNearestGridNeighbors:
-    def test_radius_one(self, q2_2):
-        neighbors = nearest_grid_neighbors(0.5, q2_2, radius=1)
-        assert list(neighbors) == [0.25, 0.5, 0.75]
-
-    def test_clipped_at_range_edge(self, q2_2):
-        neighbors = nearest_grid_neighbors(q2_2.max_value, q2_2, radius=2)
-        assert neighbors[-1] == q2_2.max_value
-        assert neighbors.size == 3  # two below + the max itself
-
-    def test_radius_zero(self, q2_2):
-        assert list(nearest_grid_neighbors(0.3, q2_2, radius=0)) == [0.25]
-
-    def test_negative_radius_rejected(self, q2_2):
-        with pytest.raises(ValueError):
-            nearest_grid_neighbors(0.0, q2_2, radius=-1)
