@@ -2,12 +2,9 @@
 
 Times both engine backends on the same pre-quantized raw batch (datapath
 arithmetic only — quantization is outside the loop), asserts all four
-output arrays bit-identical first, and records the comparison twice:
-
-- ``results/native_throughput.txt`` — the human-readable table, in the
-  style of ``test_serve_throughput.py``;
-- ``results/BENCH_native.json`` — a machine-readable
-  ``repro.bench-native/v1`` record the CI ``native-smoke`` job archives.
+output arrays bit-identical first, prints the comparison table and records
+it in ``results/BENCH_native.json`` — a machine-readable
+``repro.bench-native/v1`` record the CI ``native-smoke`` job archives.
 
 On hosts without a C compiler the benchmark does not fail: it records
 ``"native_available": false`` plus the engine's fallback reason, so the
@@ -60,7 +57,7 @@ def _best_of(run, repeats: int = REPEATS) -> float:
     return best
 
 
-def test_native_vs_fast_throughput(save_result, paper_budget):
+def test_native_vs_fast_throughput(paper_budget):
     num_samples = 200_000 if paper_budget else 50_000
     classifier = _classifier()
     raws = _raw_batch(classifier, num_samples)
@@ -125,7 +122,6 @@ def test_native_vs_fast_throughput(save_result, paper_budget):
 
     text = "\n".join(lines) + "\n"
     print(text)
-    save_result("native_throughput", text)
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / "BENCH_native.json").write_text(
         json.dumps(record, indent=2, sort_keys=True) + "\n"

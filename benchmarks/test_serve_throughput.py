@@ -9,10 +9,9 @@ Informational benchmark (not gated): classifies 10k ECG beats through
 - the :class:`~repro.serve.BatchInferenceEngine` int64 fast path,
 
 asserting bit-identical labels throughout, and records samples/sec and the
-speedup in ``results/serve_throughput.txt``.  The same numbers also land
-machine-readably as the ``engine_baseline`` section of
-``results/BENCH_serve.json`` (schema ``repro.bench-serve/v1``), which the
-cluster saturation benchmark extends and CI archives.
+speedup as the ``engine_baseline`` section of ``results/BENCH_serve.json``
+(schema ``repro.bench-serve/v1``), which the cluster saturation benchmark
+extends and CI archives.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ def _trained_like_classifier(num_features: int) -> FixedPointLinearClassifier:
     return FixedPointLinearClassifier(weights=weights, threshold=0.25, fmt=fmt)
 
 
-def test_serve_engine_throughput(save_result, paper_budget, merge_bench):
+def test_serve_engine_throughput(paper_budget, merge_bench):
     num_samples = NUM_SAMPLES if paper_budget else 2_000
     half = max(num_samples // 2, 2)
     dataset = make_ecg_dataset(half, seed=0)
@@ -101,7 +100,6 @@ def test_serve_engine_throughput(save_result, paper_budget, merge_bench):
     lines.append("labels bit-identical across all four paths: True")
     text = "\n".join(lines) + "\n"
     print(text)
-    save_result("serve_throughput", text)
     merge_bench(
         "BENCH_serve.json",
         {

@@ -11,8 +11,8 @@ silicon would do is simulated:
    word length (:class:`repro.signal.FixedPointFir`).
 3. **Training**: conventional LDA vs LDA-FP at a small word length, with
    stratified cross-validation.
-4. **Deployment**: bit-exact datapath evaluation and the Verilog module +
-   self-checking testbench for the trained classifier.
+4. **Deployment**: bit-exact datapath evaluation and the Verilog module
+   for the trained classifier.
 
 Run:  python examples/ecog_pipeline.py      (takes ~1 minute)
 """
@@ -24,7 +24,7 @@ import numpy as np
 from repro.core import LdaFpConfig, PipelineConfig, TrainingPipeline
 from repro.data.bci import make_bci_dataset_from_signals
 from repro.fixedpoint import QFormat
-from repro.hardware import generate_classifier_verilog, generate_testbench
+from repro.hardware import generate_classifier_verilog
 from repro.signal import EcogSimulator, FixedPointFir, design_fir
 from repro.stats import StratifiedKFold
 
@@ -79,12 +79,7 @@ def main() -> None:
     classifier = last_result.classifier
     print(f"\ntrained classifier: {classifier.describe()}")
     verilog = generate_classifier_verilog(classifier)
-    bundle = generate_testbench(
-        classifier, dataset.features[:16] * 0.01  # small in-range stimulus
-    )
     print(f"generated RTL     : {len(verilog.splitlines())} lines of Verilog")
-    print(f"generated TB      : {len(bundle.testbench.splitlines())} lines, "
-          f"{len(bundle.expected_hex.splitlines())} golden vectors")
     print("\nfirst Verilog lines:")
     for line in verilog.splitlines()[:8]:
         print("  " + line)

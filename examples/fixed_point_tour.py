@@ -8,14 +8,12 @@ Demonstrates, with printed bit patterns:
 - the wrap-vs-saturate overflow policies,
 - the paper's key identity: intermediate overflow is harmless under
   wrapping when the final sum is in range (``3 + 3 - 4`` in ``Q3.0``),
-- quantization-error statistics (SQNR) against the uniform-noise model.
+- the same identity through the bit-accurate MAC datapath simulator.
 
 Run:  python examples/fixed_point_tour.py
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.fixedpoint import (
     DatapathConfig,
@@ -24,9 +22,7 @@ from repro.fixedpoint import (
     OverflowMode,
     QFormat,
     RoundingMode,
-    analyze_quantization,
     quantize,
-    theoretical_sqnr_db,
 )
 
 
@@ -72,16 +68,6 @@ def main() -> None:
     print(f"  accumulator trace: {trace.accumulator_raws} "
           f"(overflow flags {trace.accumulator_overflowed})")
     print(f"  final result     : {q30.to_real(trace.result_raw):+.0f}")
-
-    section("Quantization noise vs the LSB^2/12 model")
-    rng = np.random.default_rng(0)
-    signal = rng.uniform(-1.5, 1.5, size=200_000)
-    for fraction_bits in (4, 8, 12):
-        fmt = QFormat(2, fraction_bits)
-        report = analyze_quantization(signal, fmt)
-        theory = theoretical_sqnr_db(fmt, float(np.sqrt(np.mean(signal**2))))
-        print(f"  Q2.{fraction_bits:<2d}: measured SQNR {report.sqnr_db:6.2f} dB, "
-              f"theory {theory:6.2f} dB, max err {report.max_abs_error:.2e}")
 
 
 if __name__ == "__main__":

@@ -1,26 +1,22 @@
 #!/usr/bin/env python3
-"""Word-length exploration: error/power Pareto front + per-element allocation.
+"""Word-length exploration: error/power Pareto front + range/precision analysis.
 
 Two studies the paper motivates but leaves as future work:
 
 1. **Uniform word-length Pareto sweep** — train LDA-FP at every word length
    and print the (error, power) frontier a designer would choose from.
-2. **Per-element word-length allocation** — start from a trained weight
-   vector at a generous format and greedily drop fractional bits from the
-   least sensitive weights (paper Section 3: "different elements of the
-   weight vector w can be assigned with different word lengths").
+2. **Range and precision analysis** — size the integer bits of the float
+   LDA datapath from statistical ranges, then predict the classification
+   error at each fraction-bit count from the analytic precision model.
 
 Run:  python examples/wordlength_explorer.py
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro import LdaFpConfig, PipelineConfig, make_synthetic_dataset
 from repro.core import fit_lda
 from repro.data.scaling import FeatureScaler
-from repro.fixedpoint import QFormat, greedy_wordlength_allocation
 from repro.wordlength import (
     minimum_wordlength,
     pareto_front,
@@ -77,40 +73,9 @@ def range_and_precision_analysis() -> None:
               f"{p.noise_variance:.3e}")
 
 
-def per_element_allocation() -> None:
-    print("\nPer-element word-length allocation (greedy bit dropping)")
-    train = make_synthetic_dataset(1500, seed=2)
-    test = make_synthetic_dataset(4000, seed=3)
-    scaler = FeatureScaler(limit=0.9)
-    train_s = train.map_features(scaler.fit(train.features).transform)
-    test_s = test.map_features(scaler.transform)
-
-    model = fit_lda(train_s, shrinkage=0.0)
-    start = QFormat(2, 12)
-
-    def objective(quantized_weights: np.ndarray) -> float:
-        threshold = float(quantized_weights @ model.stats.midpoint)
-        decisions = (test_s.features @ quantized_weights - threshold >= 0).astype(int)
-        return float(np.mean(decisions != test_s.labels))
-
-    result = greedy_wordlength_allocation(
-        model.weights, objective, start, max_degradation=0.01, min_fraction_bits=1
-    )
-    uniform_bits = start.word_length * model.weights.size
-    print(f"  uniform start : {model.weights.size} x {start} "
-          f"= {uniform_bits} total weight bits, error {100 * result.history[0][2] if result.history else 100 * result.objective:.2f}%"
-          if result.history else "")
-    print(f"  allocated     : {[str(f) for f in result.formats]}")
-    print(f"  total bits    : {result.total_bits} "
-          f"({100 * (1 - result.total_bits / uniform_bits):.0f}% saved)")
-    print(f"  final error   : {100 * result.objective:.2f}%")
-    print(f"  greedy steps  : {len(result.history)}")
-
-
 def main() -> None:
     pareto_sweep()
     range_and_precision_analysis()
-    per_element_allocation()
 
 
 if __name__ == "__main__":

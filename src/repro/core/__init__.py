@@ -9,10 +9,8 @@ from .localsearch import (
     coordinate_descent,
     scale_sweep_candidates,
 )
-from .multiclass import MulticlassFixedPointClassifier, train_one_vs_rest
 from .pipeline import PipelineConfig, PipelineResult, TrainingPipeline
 from .problem import LdaFpProblem, eta_inf, eta_sup
-from .selection import SelectionResult, select_rho, select_shrinkage
 from .serialize import (
     classifier_from_dict,
     classifier_to_dict,
@@ -39,11 +37,6 @@ __all__ = [
     "LdaFpProblem",
     "eta_inf",
     "eta_sup",
-    "MulticlassFixedPointClassifier",
-    "train_one_vs_rest",
-    "SelectionResult",
-    "select_rho",
-    "select_shrinkage",
     "classifier_from_dict",
     "classifier_to_dict",
     "load_classifier",

@@ -8,21 +8,8 @@ Public surface:
   vectorized grid snapping.
 - :class:`Fx` — scalar fixed-point number (reference semantics).
 - :class:`FixedPointDatapath` — bit-accurate MAC/classifier simulator.
-- :func:`analyze_quantization`, :func:`greedy_wordlength_allocation` —
-  analysis and word-length-allocation extensions.
 """
 
-from .analysis import (
-    QuantizationReport,
-    analyze_quantization,
-    required_integer_bits,
-    theoretical_sqnr_db,
-)
-from .allocation import (
-    AllocationResult,
-    choose_uniform_format,
-    greedy_wordlength_allocation,
-)
 from .datapath import DatapathConfig, DatapathTrace, FixedPointDatapath
 from .number import Fx
 from .overflow import OverflowMode, apply_overflow_raw
@@ -43,8 +30,6 @@ __all__ = [
     "DatapathConfig",
     "DatapathTrace",
     "FixedPointDatapath",
-    "QuantizationReport",
-    "AllocationResult",
     "quantize",
     "quantize_raw",
     "dequantize_raw",
@@ -52,9 +37,4 @@ __all__ = [
     "round_to_int",
     "shift_right_rounded",
     "apply_overflow_raw",
-    "analyze_quantization",
-    "required_integer_bits",
-    "theoretical_sqnr_db",
-    "choose_uniform_format",
-    "greedy_wordlength_allocation",
 ]

@@ -15,7 +15,6 @@ from .native import NativeKernel, load_native_kernel, native_backend_available
 from .latency import LatencyEstimate, estimate_latency, meets_sample_rate
 from .power import PowerModel, paper_power_model, power_ratio
 from .report import ImplementationReport, build_report
-from .testbench import TestbenchBundle, generate_testbench
 from .verilog import VerilogGenerator, generate_classifier_verilog
 
 __all__ = [
@@ -45,8 +44,6 @@ __all__ = [
     "power_ratio",
     "ImplementationReport",
     "build_report",
-    "TestbenchBundle",
-    "generate_testbench",
     "VerilogGenerator",
     "generate_classifier_verilog",
 ]

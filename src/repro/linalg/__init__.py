@@ -1,7 +1,6 @@
 """From-scratch numerical linear algebra used by the classifiers and solver."""
 
 from .cholesky import cholesky, logdet_spd, solve_spd
-from .elimination import LUFactors, lu_factor, lu_solve, solve
 from .psd import is_psd, is_symmetric, nearest_psd, symmetrize
 from .shrinkage import ShrinkageResult, ledoit_wolf_gamma, shrink_covariance
 from .triangular import solve_lower, solve_upper
@@ -10,10 +9,6 @@ __all__ = [
     "cholesky",
     "solve_spd",
     "logdet_spd",
-    "LUFactors",
-    "lu_factor",
-    "lu_solve",
-    "solve",
     "is_psd",
     "is_symmetric",
     "nearest_psd",

@@ -1,12 +1,5 @@
 """Statistics substrate: normal distribution, scatter estimators, CV, metrics."""
 
-from .confidence import (
-    Interval,
-    interval_within_format,
-    overflow_margin,
-    product_interval,
-    projection_interval,
-)
 from .bootstrap import (
     BootstrapInterval,
     bootstrap_error_interval,
@@ -21,7 +14,6 @@ from .metrics import (
     confusion_matrix,
 )
 from .normal import confidence_beta, norm_cdf, norm_pdf, norm_ppf
-from .roc import RocCurve, auc, best_threshold, roc_curve
 from .scatter import (
     ClassStats,
     TwoClassStats,
@@ -30,11 +22,6 @@ from .scatter import (
 )
 
 __all__ = [
-    "Interval",
-    "product_interval",
-    "projection_interval",
-    "interval_within_format",
-    "overflow_margin",
     "BootstrapInterval",
     "bootstrap_error_interval",
     "paired_bootstrap_pvalue",
@@ -51,10 +38,6 @@ __all__ = [
     "norm_cdf",
     "norm_ppf",
     "confidence_beta",
-    "RocCurve",
-    "auc",
-    "best_threshold",
-    "roc_curve",
     "ClassStats",
     "TwoClassStats",
     "estimate_class_stats",

@@ -51,7 +51,6 @@ def test_expected_example_set_present():
         "wordlength_explorer.py",
         "verilog_export.py",
         "ecog_pipeline.py",
-        "multiclass_bci.py",
         "ecg_monitor.py",
     }
     assert required <= names

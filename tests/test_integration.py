@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from repro.core.classifier import FixedPointLinearClassifier
-from repro.core.lda import fit_lda, quantize_lda
 from repro.core.ldafp import LdaFpConfig, train_lda_fp
 from repro.core.pipeline import PipelineConfig, TrainingPipeline
 from repro.data.bci import BciConfig, make_bci_dataset
@@ -158,47 +157,6 @@ class TestCrossValidationFlow:
             errors.append(result.test_error)
         assert len(errors) == 4
         assert all(0.0 <= e <= 1.0 for e in errors)
-
-
-class TestWordLengthAllocationExtension:
-    def test_allocation_on_trained_classifier(self):
-        """The paper's future-work extension wired end to end."""
-        from repro.fixedpoint.allocation import greedy_wordlength_allocation
-
-        train = make_synthetic_dataset(800, seed=30)
-        test = make_synthetic_dataset(800, seed=31)
-        model = fit_lda(train, shrinkage=0.0)
-        fmt = QFormat(2, 10)
-        classifier = quantize_lda(model, fmt)
-        scaler_limit_test = test  # evaluate on raw features (no scaling here)
-
-        def objective(quantized_weights: np.ndarray) -> float:
-            clf = FixedPointLinearClassifier(
-                weights=np.zeros_like(quantized_weights), threshold=0.0, fmt=fmt
-            )
-            # Rebuild classifier with per-element-quantized weights snapped
-            # to the shared fmt grid (allocation formats are finer-grained;
-            # for the objective we just need the error of the vector).
-            decisions = (
-                scaler_limit_test.features @ quantized_weights
-                - float(quantized_weights @ model.stats.midpoint)
-                >= 0
-            ).astype(int)
-            return float(np.mean(decisions != scaler_limit_test.labels))
-
-        from repro.fixedpoint.quantize import quantize as q
-
-        base_quantized = np.array([float(q(float(w), fmt)) for w in model.weights])
-        result = greedy_wordlength_allocation(
-            model.weights,
-            objective,
-            start_format=fmt,
-            max_degradation=0.02,
-            min_fraction_bits=2,
-        )
-        assert result.total_bits <= fmt.word_length * model.weights.size
-        # Budget is relative to the starting (uniformly quantized) allocation.
-        assert result.objective <= objective(base_quantized) + 0.02 + 1e-9
 
 
 class TestTrainCertifyServe:

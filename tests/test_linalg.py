@@ -1,4 +1,4 @@
-"""Tests for repro.linalg: triangular solves, Cholesky, LU, PSD, shrinkage."""
+"""Tests for repro.linalg: triangular solves, Cholesky, PSD, shrinkage."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import LinAlgError
 from repro.linalg.cholesky import cholesky, logdet_spd, solve_spd
-from repro.linalg.elimination import lu_factor, lu_solve, solve
 from repro.linalg.psd import is_psd, is_symmetric, nearest_psd, symmetrize
 from repro.linalg.shrinkage import ledoit_wolf_gamma, shrink_covariance
 from repro.linalg.triangular import solve_lower, solve_upper
@@ -100,44 +99,6 @@ class TestCholesky:
     def test_logdet(self):
         a = random_spd(5, seed=9)
         assert logdet_spd(a) == pytest.approx(np.linalg.slogdet(a)[1], abs=1e-8)
-
-
-class TestLU:
-    @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=50))
-    @settings(max_examples=40, deadline=None)
-    def test_solve_matches_numpy(self, n, seed):
-        rng = np.random.default_rng(seed)
-        a = rng.standard_normal((n, n)) + n * np.eye(n)
-        b = rng.standard_normal(n)
-        assert np.allclose(solve(a, b), np.linalg.solve(a, b), atol=1e-8)
-
-    def test_pivoting_handles_zero_leading_pivot(self):
-        a = np.array([[0.0, 1.0], [1.0, 0.0]])
-        assert np.allclose(solve(a, np.array([2.0, 3.0])), [3.0, 2.0])
-
-    def test_factorization_identity(self):
-        rng = np.random.default_rng(7)
-        a = rng.standard_normal((5, 5)) + 5 * np.eye(5)
-        factors = lu_factor(a)
-        pa = a[factors.permutation]
-        assert np.allclose(factors.lower @ factors.upper, pa, atol=1e-10)
-
-    def test_determinant(self):
-        rng = np.random.default_rng(11)
-        a = rng.standard_normal((4, 4)) + 4 * np.eye(4)
-        assert lu_factor(a).determinant == pytest.approx(np.linalg.det(a), rel=1e-8)
-
-    def test_singular_raises(self):
-        with pytest.raises(LinAlgError):
-            lu_factor(np.ones((3, 3)))
-
-    def test_lu_solve_multiple_rhs_sequential(self):
-        rng = np.random.default_rng(13)
-        a = rng.standard_normal((4, 4)) + 4 * np.eye(4)
-        factors = lu_factor(a)
-        for _ in range(3):
-            b = rng.standard_normal(4)
-            assert np.allclose(lu_solve(factors, b), np.linalg.solve(a, b), atol=1e-8)
 
 
 class TestPsd:

@@ -1,4 +1,4 @@
-"""Tests for repro.stats: normal, scatter, confidence, crossval, metrics."""
+"""Tests for repro.stats: normal, scatter, crossval, metrics."""
 
 from __future__ import annotations
 
@@ -8,14 +8,6 @@ import scipy.stats
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import DataError
-from repro.fixedpoint.qformat import QFormat
-from repro.stats.confidence import (
-    Interval,
-    interval_within_format,
-    overflow_margin,
-    product_interval,
-    projection_interval,
-)
 from repro.stats.crossval import KFold, LeaveOneOut, StratifiedKFold, train_test_split
 from repro.stats.metrics import (
     accuracy,
@@ -128,51 +120,6 @@ class TestScatter:
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(DataError):
             estimate_two_class_stats(np.ones((3, 2)), np.ones((3, 3)))
-
-
-class TestConfidenceIntervals:
-    def test_product_interval_symmetric(self):
-        iv = product_interval(weight=2.0, mean=0.0, std=1.0, beta=3.0)
-        assert iv.lo == -6.0 and iv.hi == 6.0
-
-    def test_product_interval_negative_weight(self):
-        iv = product_interval(weight=-2.0, mean=1.0, std=0.5, beta=2.0)
-        assert iv.lo == pytest.approx(-2.0 - 2.0)
-        assert iv.hi == pytest.approx(-2.0 + 2.0)
-
-    def test_projection_interval(self):
-        w = np.array([1.0, 1.0])
-        mean = np.array([0.5, 0.5])
-        cov = np.eye(2)
-        iv = projection_interval(w, mean, cov, beta=2.0)
-        assert iv.lo == pytest.approx(1.0 - 2.0 * np.sqrt(2.0))
-        assert iv.hi == pytest.approx(1.0 + 2.0 * np.sqrt(2.0))
-
-    def test_coverage_statistically(self, rng):
-        # ~99% of products should fall in the rho=0.99 interval.
-        beta = confidence_beta(0.99)
-        w, mu, sigma = 1.5, 0.3, 0.8
-        iv = product_interval(w, mu, sigma, beta)
-        draws = w * rng.normal(mu, sigma, size=100_000)
-        inside = np.mean((draws >= iv.lo) & (draws <= iv.hi))
-        assert inside == pytest.approx(0.99, abs=0.003)
-
-    def test_within_format_and_margin(self):
-        fmt = QFormat(3, 2)
-        iv = Interval(-3.0, 3.0)
-        assert interval_within_format(iv, fmt)
-        assert overflow_margin(iv, fmt) == pytest.approx(0.75)  # 3.75 - 3
-        too_big = Interval(-5.0, 0.0)
-        assert not interval_within_format(too_big, fmt)
-        assert overflow_margin(too_big, fmt) == pytest.approx(-1.0)
-
-    def test_empty_interval_rejected(self):
-        with pytest.raises(ValueError):
-            Interval(1.0, 0.0)
-
-    def test_negative_std_rejected(self):
-        with pytest.raises(ValueError):
-            product_interval(1.0, 0.0, -1.0, 2.0)
 
 
 class TestCrossval:
