@@ -158,8 +158,9 @@ def test_cluster_saturation(tmp_path, paper_budget, merge_bench):
     tallies = [[0, 0, 0] for _ in range(overload_clients)]  # shed/served/wrong
 
     def overload_run(index):
-        # Concurrent connections keep the 0.05 s flush window populated, so
-        # later arrivals find the admission budget spent and get shed.
+        # Concurrent connections keep a full-budget batch queued or in
+        # flight, so later arrivals find the admission budget spent and get
+        # shed.
         with wire.WireClient(
             "127.0.0.1", handle.server.port, timeout=30.0
         ) as client:

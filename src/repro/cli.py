@@ -203,7 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-delay-ms",
         type=float,
         default=5.0,
-        help="maximum milliseconds a request waits for co-batching",
+        help="maximum milliseconds a request queued behind a running batch "
+        "waits for co-batching (an idle engine flushes at once)",
     )
     serve.add_argument(
         "--backend",

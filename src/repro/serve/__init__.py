@@ -13,7 +13,8 @@ that *serves* them:
 - :class:`~repro.serve.registry.ModelRegistry` — validated, content-hashed,
   hot-reloadable model store.
 - :class:`~repro.serve.batcher.MicroBatcher` — asyncio micro-batching
-  (flush on size or latency deadline) with admission control and
+  (flush on size, at once on an idle engine, else when the running batch
+  completes or ``max_delay`` caps the wait) with admission control and
   deadline-aware load shedding.
 - :class:`~repro.serve.server.InferenceServer` — stdlib-only endpoint
   speaking both HTTP (``POST /predict``, ``GET /healthz``, ``GET

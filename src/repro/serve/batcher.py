@@ -3,11 +3,17 @@
 The vectorized engine amortizes quantization and accumulation over a whole
 batch, so throughput under concurrent load comes from *not* running one
 engine call per request.  :class:`MicroBatcher` queues incoming feature
-arrays per model and flushes a combined batch when either
+arrays per model and is work-conserving: it never holds a request back
+while nothing else is running for its model.  A combined batch flushes
 
-- the pending sample count reaches ``max_batch_size``, or
-- ``max_delay`` seconds elapse since the oldest pending request
-  (the latency deadline — a lone request never waits longer than this).
+- at once when the pending sample count reaches ``max_batch_size``;
+- at the end of the current event-loop pass when no batch for the same
+  model and lane is in flight (requests submitted in the same pass, such
+  as one ``asyncio.gather``, still share the batch);
+- otherwise when the in-flight batch completes, or when ``max_delay``
+  seconds have passed since the oldest pending request, whichever comes
+  first (the cap — a request never waits longer than this for
+  co-batching).
 
 Each awaiting caller receives exactly its slice of the combined
 :class:`~repro.serve.engine.BatchResult`; because the engine is bit-exact
@@ -40,6 +46,7 @@ Three serving-plane concerns live here as well:
 from __future__ import annotations
 
 import asyncio
+import functools
 import time
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
@@ -64,7 +71,9 @@ class BatcherConfig:
         Flush as soon as this many samples are pending for one model.
     max_delay:
         Maximum seconds a request may wait for co-batching before the
-        pending batch is flushed regardless of size.
+        pending batch is flushed regardless of size.  Only a request that
+        queues behind an in-flight batch waits at all; on an idle engine
+        the batch flushes at the end of the event-loop pass.
     max_pending_samples:
         Admission-control bound: total samples queued or in flight across
         all models before new submissions are shed with
@@ -118,7 +127,7 @@ class _Pending:
         self.raw = raw
         self.items: "List[_Item]" = []
         self.samples = 0
-        self.timer: "Optional[asyncio.TimerHandle]" = None
+        self.timer: "Optional[asyncio.Handle]" = None
 
 
 class MicroBatcher:
@@ -145,7 +154,9 @@ class MicroBatcher:
         self.config = config or BatcherConfig()
         self.metrics = metrics
         self._pending: "dict[Tuple[str, str, bool], _Pending]" = {}
-        self._inflight: "set[asyncio.Task]" = set()
+        # Batch tasks in flight per key; strong references until completion
+        # (asyncio only holds weak ones).
+        self._inflight: "dict[Tuple[str, str, bool], set[asyncio.Task]]" = {}
         self._load = 0  # samples queued or in flight (admission accounting)
 
     @property
@@ -235,7 +246,13 @@ class MicroBatcher:
         if pending.samples >= self.config.max_batch_size:
             self._flush(key)
         elif pending.timer is None:
-            pending.timer = loop.call_later(self.config.max_delay, self._flush, key)
+            if key in self._inflight:
+                # Flushed by the running batch's completion, or at the cap.
+                pending.timer = loop.call_later(
+                    self.config.max_delay, self._flush, key
+                )
+            else:
+                pending.timer = loop.call_soon(self._flush, key)
         return await future
 
     def _flush(self, key: "Tuple[str, str, bool]") -> None:
@@ -248,9 +265,16 @@ class MicroBatcher:
         task = loop.create_task(
             self._run_batch(pending.model, pending.items, pending.raw)
         )
-        # Keep a strong reference until completion (asyncio only holds weak ones).
-        self._inflight.add(task)
-        task.add_done_callback(self._inflight.discard)
+        self._inflight.setdefault(key, set()).add(task)
+        task.add_done_callback(functools.partial(self._batch_done, key))
+
+    def _batch_done(self, key: "Tuple[str, str, bool]", task: "asyncio.Task") -> None:
+        running = self._inflight[key]
+        running.discard(task)
+        if not running:
+            del self._inflight[key]
+        # Whatever queued behind this batch runs now, not at max_delay.
+        self._flush(key)
 
     async def _run_batch(
         self,
@@ -315,4 +339,5 @@ class MicroBatcher:
         for model_name in list(self._pending):
             self._flush(model_name)
         while self._inflight:
-            await asyncio.gather(*list(self._inflight), return_exceptions=True)
+            tasks = [task for running in self._inflight.values() for task in running]
+            await asyncio.gather(*tasks, return_exceptions=True)

@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import logging
 import struct
 import threading
 import time
@@ -75,7 +76,10 @@ from .stream import FrontEndConfig, StreamManager
 
 __all__ = ["ServeConfig", "InferenceServer", "ServerHandle", "start_server_thread"]
 
+_log = logging.getLogger("repro.serve")
+
 _MAX_BODY_BYTES = 8 * 1024 * 1024
+_MAX_HEADER_LINES = 100
 _MAX_SAMPLES_PER_REQUEST = 65536
 
 
@@ -246,6 +250,8 @@ class InferenceServer:
         try:
             status, content_type, body = await self._handle_request(prefix, reader)
         except Exception:
+            self.metrics.observe_error()
+            _log.exception("internal error serving an HTTP request")
             status, content_type, body = 500, "application/json", json.dumps(
                 {"error": "internal server error"}
             )
@@ -268,29 +274,43 @@ class InferenceServer:
     ) -> "Tuple[int, str, str]":
         try:
             request_line = prefix + await reader.readline()
-        except (ConnectionError, asyncio.LimitOverrunError):
-            return 400, "application/json", json.dumps({"error": "bad request"})
-        parts = request_line.decode("latin-1").split()
-        if len(parts) < 2:
-            return 400, "application/json", json.dumps({"error": "bad request line"})
-        method, path = parts[0].upper(), parts[1]
+            parts = request_line.decode("latin-1").split()
+            if len(parts) < 2:
+                return 400, "application/json", json.dumps(
+                    {"error": "bad request line"}
+                )
+            method, path = parts[0].upper(), parts[1]
 
-        content_length = 0
-        while True:
-            line = await reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            if name.strip().lower() == "content-length":
-                try:
-                    content_length = int(value.strip())
-                except ValueError:
-                    return 400, "application/json", json.dumps(
-                        {"error": "bad Content-Length"}
-                    )
-        if content_length > _MAX_BODY_BYTES:
-            return 413, "application/json", json.dumps({"error": "body too large"})
-        body = await reader.readexactly(content_length) if content_length else b""
+            content_length = 0
+            # One read past the cap: the blank line that ends the headers.
+            for _ in range(_MAX_HEADER_LINES + 1):
+                line = await reader.readline()
+                if line in (b"\r\n", b"\n", b""):
+                    break
+                name, _, value = line.decode("latin-1").partition(":")
+                if name.strip().lower() == "content-length":
+                    value = value.strip()
+                    if not (value.isascii() and value.isdigit()):
+                        return 400, "application/json", json.dumps(
+                            {"error": "bad Content-Length"}
+                        )
+                    content_length = int(value)
+            else:
+                return 431, "application/json", json.dumps(
+                    {"error": f"more than {_MAX_HEADER_LINES} header lines"}
+                )
+            if content_length > _MAX_BODY_BYTES:
+                return 413, "application/json", json.dumps({"error": "body too large"})
+            body = await reader.readexactly(content_length) if content_length else b""
+        except ValueError:
+            # StreamReader.readline: a line longer than the stream's buffer limit.
+            return 400, "application/json", json.dumps({"error": "line too long"})
+        except asyncio.IncompleteReadError:
+            return 400, "application/json", json.dumps(
+                {"error": "body shorter than Content-Length"}
+            )
+        except ConnectionError:
+            return 400, "application/json", json.dumps({"error": "bad request"})
 
         if path == "/healthz" and method == "GET":
             return 200, "application/json", json.dumps(
@@ -692,6 +712,7 @@ _REASONS = {  # repro: noqa-RPC005
     405: "Method Not Allowed",
     409: "Conflict",
     413: "Payload Too Large",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
 }

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -54,3 +55,33 @@ def synthetic_stats(synthetic_train):
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def hold_first_batch(monkeypatch):
+    """Block a serving engine's first ``run`` call until released.
+
+    The micro-batcher flushes a lone request on an idle engine within one
+    event-loop pass, so a request only stays queued behind a batch still in
+    flight.  ``hold_first_batch(engine)`` returns ``(entered, release,
+    calls)``: ``entered`` is set once the held batch is inside the engine,
+    setting ``release`` lets it finish, ``calls`` records each call's batch
+    size.  Later calls run unheld.
+    """
+
+    def hold(engine):
+        entered, release = threading.Event(), threading.Event()
+        run = engine.run
+        calls = []
+
+        def held(features):
+            calls.append(len(features))
+            if len(calls) == 1:
+                entered.set()
+                release.wait(timeout=10.0)
+            return run(features)
+
+        monkeypatch.setattr(engine, "run", held)
+        return entered, release, calls
+
+    return hold

@@ -1,8 +1,9 @@
 """Tests for the asyncio micro-batching queue.
 
 The batcher's contract: co-batched requests receive exactly the slices of
-one vectorized engine call, flushes happen on size or deadline, and a
-poisoned batch rejects every member with the engine's error.
+one vectorized engine call; a batch flushes on size, at once on an idle
+engine, and otherwise when the in-flight batch completes or ``max_delay``
+passes; and a poisoned batch rejects every member with the engine's error.
 """
 
 from __future__ import annotations
@@ -94,7 +95,7 @@ class TestCoalescing:
         assert metrics.to_dict()["batches_total"] == 1
 
     def test_deadline_triggered_flush(self, registry, rng):
-        """A lone request is answered after max_delay even far below size."""
+        """A lone request is answered (by max_delay at the latest) far below size."""
 
         async def scenario():
             batcher = MicroBatcher(
@@ -129,6 +130,94 @@ class TestCoalescing:
                 int(r) for r in expected.projection_raws
             ]
             assert np.array_equal(result.labels, expected.labels)
+
+
+class TestWorkConserving:
+    def test_lone_request_does_not_wait_for_max_delay(self, registry, rng):
+        """On an idle engine a lone request flushes within the loop pass."""
+
+        async def scenario():
+            batcher = MicroBatcher(
+                registry, config=BatcherConfig(max_batch_size=1024, max_delay=30.0)
+            )
+            result, _ = await asyncio.wait_for(
+                batcher.submit("m", _features(rng, 1)), timeout=2.0
+            )
+            return result
+
+        assert asyncio.run(scenario()).num_samples == 1
+
+    def test_queued_requests_flush_when_the_running_batch_completes(
+        self, registry, rng, hold_first_batch
+    ):
+        """Submits behind a busy engine share exactly one follow-up batch,
+        flushed by the first batch's completion, not by max_delay."""
+        engine = registry.get("m").engine
+        expected_run = engine.run
+        entered, release, calls = hold_first_batch(engine)
+        metrics = ServeMetrics()
+        batcher = MicroBatcher(
+            registry,
+            # Far beyond the test's patience: only completion can flush.
+            config=BatcherConfig(max_batch_size=1024, max_delay=30.0),
+            metrics=metrics,
+        )
+        first = _features(rng, 2)
+        queued = [_features(rng, k) for k in (1, 3, 2)]
+
+        async def scenario():
+            held = asyncio.ensure_future(batcher.submit("m", first))
+            try:
+                assert await asyncio.to_thread(entered.wait, 5.0)
+                followers = [
+                    asyncio.ensure_future(batcher.submit("m", chunk))
+                    for chunk in queued
+                ]
+                await asyncio.sleep(0.05)
+                assert calls == [2]  # the followers wait behind the engine
+            finally:
+                release.set()
+            return await asyncio.wait_for(
+                asyncio.gather(held, *followers), timeout=2.0
+            )
+
+        results = asyncio.run(scenario())
+        assert calls == [2, 6]
+        assert metrics.to_dict()["batches_total"] == 2
+        for chunk, (result, _) in zip([first] + queued, results):
+            expected = expected_run(chunk)
+            assert np.array_equal(result.projection_raws, expected.projection_raws)
+            assert np.array_equal(result.labels, expected.labels)
+
+    def test_max_delay_caps_the_wait_behind_a_long_batch(
+        self, registry, rng, hold_first_batch
+    ):
+        """A request queued behind a batch that outlasts max_delay still
+        flushes at max_delay, while that batch is running."""
+        engine = registry.get("m").engine
+        run = engine.run
+        entered, release, calls = hold_first_batch(engine)
+        batcher = MicroBatcher(
+            registry, config=BatcherConfig(max_batch_size=1024, max_delay=0.05)
+        )
+        features = _features(rng, 3)
+
+        async def scenario():
+            held = asyncio.ensure_future(batcher.submit("m", _features(rng, 1)))
+            try:
+                assert await asyncio.to_thread(entered.wait, 5.0)
+                result, _ = await asyncio.wait_for(
+                    batcher.submit("m", features), timeout=2.0
+                )
+                assert not held.done()  # answered while the first batch runs
+            finally:
+                release.set()
+            await asyncio.wait_for(held, timeout=5.0)
+            return result
+
+        result = asyncio.run(scenario())
+        assert calls == [1, 3]
+        assert np.array_equal(result.labels, run(features).labels)
 
 
 class TestErrors:

@@ -10,6 +10,8 @@ to ``predict_bitexact`` and ``/metrics`` counters advance.
 from __future__ import annotations
 
 import json
+import logging
+import socket
 import urllib.error
 import urllib.request
 
@@ -67,6 +69,20 @@ def _post_json(url, payload):
 def _get(url, timeout=10):
     with urllib.request.urlopen(url, timeout=timeout) as response:
         return response.status, response.read().decode()
+
+
+def _raw_status(port, data):
+    """Send raw bytes, half-close, and return the reply's HTTP status code."""
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(data)
+        sock.shutdown(socket.SHUT_WR)
+        reply = b""
+        while b"\r\n" not in reply:
+            chunk = sock.recv(4096)
+            if not chunk:
+                break
+            reply += chunk
+    return int(reply.split(b" ", 2)[1])
 
 
 class TestPredict:
@@ -198,6 +214,59 @@ class TestObservability:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             _get(server.url + "/nope")
         assert excinfo.value.code == 404
+
+
+class TestHttpFraming:
+    """Malformed framing is a 400 (or 431), never a bare 500."""
+
+    def test_negative_content_length_is_400(self, server):
+        request = b"POST /predict HTTP/1.1\r\nContent-Length: -5\r\n\r\n"
+        assert _raw_status(server.port, request) == 400
+
+    @pytest.mark.parametrize("where", ["request_line", "header_line"])
+    def test_overlong_line_is_400(self, server, where):
+        long = b"a" * (70 * 1024)
+        if where == "request_line":
+            request = b"GET /" + long + b" HTTP/1.1\r\n\r\n"
+        else:
+            request = b"GET /healthz HTTP/1.1\r\nX-Long: " + long + b"\r\n\r\n"
+        assert _raw_status(server.port, request) == 400
+
+    def test_body_shorter_than_content_length_is_400(self, server):
+        request = b"POST /predict HTTP/1.1\r\nContent-Length: 100\r\n\r\n{}"
+        assert _raw_status(server.port, request) == 400
+
+    def test_too_many_header_lines_is_431(self, server):
+        head = b"GET /healthz HTTP/1.1\r\n" + b"X-Filler: 1\r\n" * 101
+        assert _raw_status(server.port, head + b"\r\n") == 431
+
+    def test_header_lines_up_to_the_cap_are_served(self, server):
+        head = b"GET /healthz HTTP/1.1\r\n" + b"X-Filler: 1\r\n" * 100
+        assert _raw_status(server.port, head + b"\r\n") == 200
+
+
+class TestInternalError:
+    def test_route_fault_is_counted_and_logged(self, monkeypatch, caplog):
+        registry = ModelRegistry()
+        handle = start_server_thread(registry, ServeConfig(port=0))
+        try:
+
+            def broken():
+                raise RuntimeError("registry exploded")
+
+            monkeypatch.setattr(registry, "models", broken)
+            with caplog.at_level(logging.ERROR, logger="repro.serve"):
+                with pytest.raises(urllib.error.HTTPError) as excinfo:
+                    _get(handle.url + "/healthz")
+            assert excinfo.value.code == 500
+            excinfo.value.close()
+            assert handle.server.metrics.to_dict()["errors_total"] == 1
+        finally:
+            handle.stop()
+        records = [r for r in caplog.records if r.name == "repro.serve"]
+        assert len(records) == 1
+        assert records[0].exc_info is not None
+        assert "registry exploded" in str(records[0].exc_info[1])
 
 
 class TestHotReloadThroughServer:

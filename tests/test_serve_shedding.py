@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import threading
 import urllib.error
 import urllib.request
 
@@ -131,7 +132,8 @@ class TestBatcherAdmission:
 
 
 class TestDeadlines:
-    def test_expired_deadline_rejects_at_flush(self, registry, rng):
+    def test_expired_deadline_rejects_at_flush(self, registry, rng, hold_first_batch):
+        entered, release, _ = hold_first_batch(registry.get("m").engine)
         batcher = MicroBatcher(
             registry,
             # Flush well after a 1 ms deadline has passed.
@@ -139,8 +141,15 @@ class TestDeadlines:
         )
 
         async def scenario():
-            with pytest.raises(DeadlineExceededError):
-                await batcher.submit("m", _features(rng, 1), deadline_ms=1)
+            held = asyncio.ensure_future(batcher.submit("m", _features(rng, 1)))
+            try:
+                assert await asyncio.to_thread(entered.wait, 5.0)
+                # Queued behind the held batch: only the max_delay cap flushes it.
+                with pytest.raises(DeadlineExceededError):
+                    await batcher.submit("m", _features(rng, 1), deadline_ms=1)
+            finally:
+                release.set()
+            await asyncio.wait_for(held, timeout=5.0)
 
         asyncio.run(scenario())
 
@@ -158,22 +167,32 @@ class TestDeadlines:
 
         assert asyncio.run(scenario()).num_samples == 2
 
-    def test_expired_item_does_not_poison_batch_mates(self, registry, rng):
+    def test_expired_item_does_not_poison_batch_mates(
+        self, registry, rng, hold_first_batch
+    ):
         """One expired deadline in a batch: the others still get answers."""
         engine = registry.get("m").engine
         live_features = _features(rng, 2)
+        entered, release, _ = hold_first_batch(engine)
         batcher = MicroBatcher(
             registry, config=BatcherConfig(max_batch_size=1024, max_delay=0.05)
         )
 
         async def scenario():
-            doomed = asyncio.ensure_future(
-                batcher.submit("m", _features(rng, 1), deadline_ms=1)
-            )
-            survivor = asyncio.ensure_future(batcher.submit("m", live_features))
-            with pytest.raises(DeadlineExceededError):
-                await doomed
-            return await asyncio.wait_for(survivor, timeout=5.0)
+            held = asyncio.ensure_future(batcher.submit("m", _features(rng, 1)))
+            try:
+                assert await asyncio.to_thread(entered.wait, 5.0)
+                # Both queue behind the held batch and flush together at the cap.
+                doomed = asyncio.ensure_future(
+                    batcher.submit("m", _features(rng, 1), deadline_ms=1)
+                )
+                survivor = asyncio.ensure_future(batcher.submit("m", live_features))
+                with pytest.raises(DeadlineExceededError):
+                    await doomed
+                return await asyncio.wait_for(survivor, timeout=5.0)
+            finally:
+                release.set()
+                await asyncio.wait_for(held, timeout=5.0)
 
         result, _ = asyncio.run(scenario())
         expected = engine.run(live_features)
@@ -189,8 +208,8 @@ class TestServerSheds:
             ServeConfig(
                 port=0,
                 batcher=BatcherConfig(
-                    # max_delay keeps samples queued long enough for a second
-                    # request to hit a full queue deterministically.
+                    # max_delay caps the wait of a request queued behind an
+                    # in-flight batch (the deadline test holds one there).
                     max_batch_size=1024,
                     max_delay=0.2,
                     max_pending_samples=4,
@@ -237,17 +256,38 @@ class TestServerSheds:
             again = client.request([[0.5, 0.25, 1.0]], model="m")
             assert isinstance(again, wire.WireResponse)
 
-    def test_deadline_503_reason(self, tight_server):
-        body = json.dumps(
-            {"model": "m", "features": [0.5, 0.25, 1.0], "deadline_ms": 1}
-        ).encode()
-        request = urllib.request.Request(
+    def test_deadline_503_reason(self, tight_server, registry, hold_first_batch):
+        entered, release, _ = hold_first_batch(registry.get("m").engine)
+        held = urllib.request.Request(
             tight_server.url + "/predict",
-            data=body,
+            data=json.dumps({"model": "m", "features": [0.5, 0.25, 1.0]}).encode(),
             headers={"Content-Type": "application/json"},
         )
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(request, timeout=10)
+
+        def hold():
+            with urllib.request.urlopen(held, timeout=10) as response:
+                response.read()
+
+        holder = threading.Thread(target=hold)
+        holder.start()
+        try:
+            # The deadline request queues behind the held batch until the
+            # max_delay cap flushes it, long after its 1 ms deadline.
+            assert entered.wait(timeout=5.0)
+            body = json.dumps(
+                {"model": "m", "features": [0.5, 0.25, 1.0], "deadline_ms": 1}
+            ).encode()
+            request = urllib.request.Request(
+                tight_server.url + "/predict",
+                data=body,
+                headers={"Content-Type": "application/json"},
+            )
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(request, timeout=10)
+        finally:
+            release.set()
+            holder.join(timeout=10.0)
+        assert not holder.is_alive()
         assert excinfo.value.code == 503
         payload = json.loads(excinfo.value.read())
         assert payload["shed"] is True
